@@ -22,6 +22,17 @@ const SCENARIO: &str = r#"{
     "training": { "global_batch": 64, "num_batches": 10 }
 }"#;
 
+/// A 512-replica data-parallel cluster: priced with `?backend=sim`, the
+/// discrete-event simulator runs its 512-rank ring all-reduce.
+const HEAVY_SIM: &str = r#"{
+    "model": { "preset": "mingpt-85m" },
+    "accelerator": { "preset": "v100" },
+    "system": { "nodes": 64, "accels_per_node": 8,
+                "intra_gbps": 2400.0, "inter_gbps": 100.0, "nics_per_node": 1 },
+    "parallelism": { "dp": [8, 64] },
+    "training": { "global_batch": 4096, "num_batches": 10 }
+}"#;
+
 /// A running in-process server plus everything a test needs to talk to it
 /// and take it down.
 struct TestServer {
@@ -309,17 +320,15 @@ fn shutdown_endpoint_stops_the_server() {
 
 #[test]
 fn tiny_timeout_answers_504_without_wedging() {
-    // A deadline the pricing of a search cannot meet: the client gets 504,
-    // the server stays healthy and drains cleanly. The scalar path
-    // (`no-batch`) and a deep microbatch ladder keep the pricing safely
-    // over the 1 ms deadline regardless of how fast the batched fast
-    // path gets.
+    // A deadline the request cannot meet: the client gets 504, the server
+    // stays healthy and drains cleanly. The request simulates `HEAVY_SIM`;
+    // its release-build handler time measured 44-70 ms on a 2-core x86-64
+    // host, far over the 1 ms deadline however fast pricing gets.
     let server = start(1, 8, 1);
     let addr = server.addr;
-    let heavy = SCENARIO.replace("\"global_batch\": 64", "\"global_batch\": 65536");
     let mut saw_timeout = false;
     for _ in 0..10 {
-        let (status, _body) = request(addr, "POST", "/v1/search?jobs=1&no-batch=1", &heavy);
+        let (status, _body) = request(addr, "POST", "/v1/estimate?backend=sim", HEAVY_SIM);
         assert!(status == 200 || status == 504, "unexpected status {status}");
         if status == 504 {
             saw_timeout = true;

@@ -180,6 +180,13 @@ impl Simulator {
 
     /// Execute `graph` to completion and return the outcome.
     ///
+    /// After every dispatch each resource is either busy or has an empty
+    /// ready queue, so a finish event can only make startable the
+    /// resource it freed and the resources its newly ready successors
+    /// queue on. Only those are visited, in ascending resource index —
+    /// the order a scan over every resource would start them in — so an
+    /// event costs O(1 + out-degree · log) rather than O(resources).
+    ///
     /// # Panics
     ///
     /// Panics if the graph contains a dependency cycle (impossible for
@@ -188,19 +195,20 @@ impl Simulator {
     pub fn run(&self, graph: &TaskGraph) -> SimOutcome {
         let n_tasks = graph.len();
         let n_devices = graph.num_devices();
+        let n_resources = n_devices * RES_PER_DEVICE;
         let mut pending: Vec<usize> = (0..n_tasks).map(|t| graph.preds(t).len()).collect();
+        let mut exec = Executor {
+            sim: self,
+            graph,
+            queues: (0..n_resources).map(|_| BinaryHeap::new()).collect(),
+            busy: vec![false; n_resources],
+            events: BinaryHeap::new(),
+            seq: 0,
+            stats: vec![DeviceStats::default(); n_devices],
+            timeline: Timeline::new(n_devices),
+            visits: 0,
+        };
 
-        // Per-resource ready queues ordered by (priority, task id).
-        let mut queues: Vec<BinaryHeap<Reverse<(u64, TaskId)>>> =
-            (0..n_devices * RES_PER_DEVICE).map(|_| BinaryHeap::new()).collect();
-        let mut busy: Vec<bool> = vec![false; n_devices * RES_PER_DEVICE];
-
-        // Finish events: (time, seq, resource, task).
-        let mut events: BinaryHeap<Reverse<(EventTime, u64, usize, TaskId)>> = BinaryHeap::new();
-        let mut seq: u64 = 0;
-
-        let mut stats = vec![DeviceStats::default(); n_devices];
-        let mut timeline = Timeline::new(n_devices);
         let (mut intra_bytes, mut inter_bytes) = (0.0f64, 0.0f64);
         for t in graph.tasks() {
             if let TaskKind::Transfer { bytes, link, .. } = t.kind {
@@ -213,98 +221,45 @@ impl Simulator {
         let mut completed = 0usize;
         let mut now = 0.0f64;
 
-        let duration_of = |kind: &TaskKind, now: f64| -> f64 {
-            let base = match *kind {
-                TaskKind::Compute { duration_s, .. } => duration_s,
-                TaskKind::Transfer { bytes, link, .. } => self.network.transfer_time(bytes, link),
-            };
-            match &self.faults {
-                None => base,
-                Some(f) => f.adjust(kind, base, now),
-            }
-        };
-
-        // Seed roots.
-        for t in 0..n_tasks {
-            if pending[t] == 0 {
-                queues[resource_of(&graph.task(t).kind)].push(Reverse((graph.task(t).priority, t)));
-            }
+        // Seed roots, then one full pass: any resource may hold a root.
+        for (t, _) in pending.iter().enumerate().filter(|(_, &p)| p == 0) {
+            exec.enqueue(t);
         }
+        for res in 0..n_resources {
+            exec.visit(res, now);
+        }
+        let mut max_queue_depth = exec.events.len();
 
-        // Dispatch everything startable at the current time.
-        let dispatch =
-            |now: f64,
-             queues: &mut Vec<BinaryHeap<Reverse<(u64, TaskId)>>>,
-             busy: &mut Vec<bool>,
-             events: &mut BinaryHeap<Reverse<(EventTime, u64, usize, TaskId)>>,
-             seq: &mut u64,
-             stats: &mut Vec<DeviceStats>,
-             timeline: &mut Timeline| {
-                for res in 0..queues.len() {
-                    while !busy[res] {
-                        let Some(Reverse((_, task))) = queues[res].pop() else {
-                            break;
-                        };
-                        let t = graph.task(task);
-                        let dur = duration_of(&t.kind, now);
-                        busy[res] = true;
-                        *seq += 1;
-                        events.push(Reverse((EventTime::new(now + dur), *seq, res, task)));
-                        match t.kind {
-                            TaskKind::Compute { device, .. } => {
-                                stats[device].compute_busy_s += dur;
-                                if self.record_timeline {
-                                    // Checkpoint drains occupy the compute
-                                    // unit but are storage writes, not
-                                    // training math — give them their own
-                                    // timeline/trace category.
-                                    let activity = if t.label == "ckpt" {
-                                        Activity::Checkpoint
-                                    } else {
-                                        Activity::Compute
-                                    };
-                                    timeline.push(device, activity, now, now + dur, t.label);
-                                }
-                            }
-                            TaskKind::Transfer { src, .. } => {
-                                stats[src].comm_busy_s += dur;
-                                if self.record_timeline {
-                                    timeline.push(src, Activity::Comm, now, now + dur, t.label);
-                                }
-                            }
-                        }
-                    }
-                }
-            };
-
-        dispatch(
-            now, &mut queues, &mut busy, &mut events, &mut seq, &mut stats, &mut timeline,
-        );
-        let mut max_queue_depth = events.len();
-
-        while let Some(Reverse((time, _, res, task))) = events.pop() {
+        // Resources whose state the current event changed.
+        let mut touched: Vec<usize> = Vec::new();
+        while let Some(Reverse((time, _, res, task))) = exec.events.pop() {
             now = time.0;
-            busy[res] = false;
+            exec.busy[res] = false;
             completed += 1;
-            let device = match graph.task(task).kind {
-                TaskKind::Compute { device, .. } => device,
-                TaskKind::Transfer { dst, .. } => dst,
-            };
-            stats[device].last_finish_s = stats[device].last_finish_s.max(now);
-            if let TaskKind::Transfer { src, .. } = graph.task(task).kind {
-                stats[src].last_finish_s = stats[src].last_finish_s.max(now);
+            let stats = &mut exec.stats;
+            match graph.task(task).kind {
+                TaskKind::Compute { device, .. } => {
+                    stats[device].last_finish_s = stats[device].last_finish_s.max(now);
+                }
+                TaskKind::Transfer { src, dst, .. } => {
+                    stats[dst].last_finish_s = stats[dst].last_finish_s.max(now);
+                    stats[src].last_finish_s = stats[src].last_finish_s.max(now);
+                }
             }
+            touched.clear();
+            touched.push(res);
             for &succ in graph.succs(task) {
                 pending[succ] -= 1;
                 if pending[succ] == 0 {
-                    let t = graph.task(succ);
-                    queues[resource_of(&t.kind)].push(Reverse((t.priority, succ)));
+                    touched.push(exec.enqueue(succ));
                 }
             }
-            dispatch(
-                now, &mut queues, &mut busy, &mut events, &mut seq, &mut stats, &mut timeline,
-            );
-            max_queue_depth = max_queue_depth.max(events.len());
+            touched.sort_unstable();
+            touched.dedup();
+            for &r in &touched {
+                exec.visit(r, now);
+            }
+            max_queue_depth = max_queue_depth.max(exec.events.len());
         }
 
         assert_eq!(
@@ -316,16 +271,93 @@ impl Simulator {
         if let Some(obs) = &self.observer {
             obs.add("sim.des.runs", 1);
             obs.add("sim.des.events_processed", completed as u64);
+            obs.add("sim.des.resource_visits", exec.visits);
             obs.gauge_max("sim.des.max_queue_depth", max_queue_depth as f64);
         }
 
+        let mut timeline = exec.timeline;
         timeline.set_makespan(now);
         SimOutcome {
             makespan_s: now,
-            device_stats: stats,
+            device_stats: exec.stats,
             timeline,
             intra_bytes,
             inter_bytes,
+        }
+    }
+}
+
+/// The mutable state of one [`Simulator::run`].
+struct Executor<'a> {
+    sim: &'a Simulator,
+    graph: &'a TaskGraph,
+    /// Per-resource ready queues ordered by (priority, task id).
+    queues: Vec<BinaryHeap<Reverse<(u64, TaskId)>>>,
+    busy: Vec<bool>,
+    /// Finish events: (time, seq, resource, task).
+    events: BinaryHeap<Reverse<(EventTime, u64, usize, TaskId)>>,
+    seq: u64,
+    stats: Vec<DeviceStats>,
+    timeline: Timeline,
+    /// Resources examined for a startable task, across the whole run.
+    visits: u64,
+}
+
+impl Executor<'_> {
+    /// Queue a ready task on its resource; returns the resource.
+    fn enqueue(&mut self, task: TaskId) -> usize {
+        let t = self.graph.task(task);
+        let res = resource_of(&t.kind);
+        self.queues[res].push(Reverse((t.priority, task)));
+        res
+    }
+
+    /// Start the best ready task on `res` at `now`, if `res` is idle.
+    fn visit(&mut self, res: usize, now: f64) {
+        self.visits += 1;
+        if self.busy[res] {
+            return;
+        }
+        let Some(Reverse((_, task))) = self.queues[res].pop() else {
+            return;
+        };
+        let t = self.graph.task(task);
+        let base = match t.kind {
+            TaskKind::Compute { duration_s, .. } => duration_s,
+            TaskKind::Transfer { bytes, link, .. } => self.sim.network.transfer_time(bytes, link),
+        };
+        let dur = match &self.sim.faults {
+            None => base,
+            Some(f) => f.adjust(&t.kind, base, now),
+        };
+        self.busy[res] = true;
+        self.seq += 1;
+        self.events
+            .push(Reverse((EventTime::new(now + dur), self.seq, res, task)));
+        let record = self.sim.record_timeline;
+        match t.kind {
+            TaskKind::Compute { device, .. } => {
+                self.stats[device].compute_busy_s += dur;
+                if record {
+                    // Checkpoint drains occupy the compute unit but are
+                    // storage writes, not training math — give them their
+                    // own timeline/trace category.
+                    let activity = if t.label == "ckpt" {
+                        Activity::Checkpoint
+                    } else {
+                        Activity::Compute
+                    };
+                    self.timeline
+                        .push(device, activity, now, now + dur, t.label);
+                }
+            }
+            TaskKind::Transfer { src, .. } => {
+                self.stats[src].comm_busy_s += dur;
+                if record {
+                    self.timeline
+                        .push(src, Activity::Comm, now, now + dur, t.label);
+                }
+            }
         }
     }
 }

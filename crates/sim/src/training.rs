@@ -191,9 +191,10 @@ impl<'a> SimConfig<'a> {
         }
     }
 
-    /// Record DES internals, run counters, and per-device busy fractions
-    /// into `observer`. Passive: simulated times are bit-identical with or
-    /// without it.
+    /// Record DES internals, run counters, graph size (`sim.graph.*`),
+    /// the graph-build and event-loop timers (`sim.build`, `sim.run`) and
+    /// per-device busy fractions into `observer`. Passive: simulated times
+    /// are bit-identical with or without it.
     pub fn with_observer(mut self, observer: Arc<Observer>) -> Self {
         self.observer = Some(observer);
         self
@@ -298,12 +299,15 @@ impl<'a> SimConfig<'a> {
             return Err(Error::invalid("simulation", "batch must be positive"));
         }
 
+        let timer = |phase| self.observer.as_ref().map(|o| o.timer(phase));
+        let build = timer("sim.build");
         let graph = match self.schedule {
             PipelineSchedule::Interleaved { virtual_stages } if virtual_stages > 1 => {
                 self.build_interleaved_graph(global_batch, virtual_stages)?
             }
             _ => self.build_graph(global_batch)?,
         };
+        drop(build);
         let network = NetworkParams {
             intra_latency_s: self.system.intra().latency_s,
             intra_bw_bps: self.system.intra().bandwidth_bits_per_sec,
@@ -317,9 +321,16 @@ impl<'a> SimConfig<'a> {
         if let Some(obs) = &self.observer {
             simulator = simulator.with_observer(Arc::clone(obs));
         }
+        let run = timer("sim.run");
         let outcome = simulator.run(&graph);
+        drop(run);
         if let Some(obs) = &self.observer {
             obs.add("sim.iterations", 1);
+            obs.add("sim.graph.tasks", graph.len() as u64);
+            obs.add(
+                "sim.graph.edges",
+                (0..graph.len()).map(|t| graph.preds(t).len() as u64).sum(),
+            );
             if self.record_devices {
                 let pp = self.parallelism.pp();
                 obs.set_device_utilization(
@@ -1912,6 +1923,36 @@ mod tests {
         assert!(names.contains("sim.iteration.healthy"));
         assert!(names.contains("sim.iteration.perturbed"));
         assert!(names.contains("sim.replay"));
+    }
+
+    #[test]
+    fn iteration_observer_times_build_and_run_without_perturbing() {
+        let m = mingpt();
+        let a = v100();
+        let sys = hgx(4);
+        let p = Parallelism::data_parallel_intra(4).unwrap();
+        let plain = SimConfig::new(&m, &a, &sys, &p)
+            .simulate_iteration(32)
+            .unwrap();
+        let obs = std::sync::Arc::new(amped_obs::Observer::new());
+        let observed = SimConfig::new(&m, &a, &sys, &p)
+            .with_observer(obs.clone())
+            .simulate_iteration(32)
+            .unwrap();
+        assert_eq!(
+            plain.iteration_time.to_bits(),
+            observed.iteration_time.to_bits()
+        );
+        let report = obs.report("simulate");
+        for phase in ["sim.build.us", "sim.run.us"] {
+            assert_eq!(report.histograms[phase].count, 1, "{phase}");
+        }
+        let counters = obs.counters();
+        assert_eq!(
+            counters["sim.graph.tasks"],
+            counters["sim.des.events_processed"]
+        );
+        assert!(counters["sim.graph.edges"] > 0);
     }
 
     #[test]

@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> cargo test --release (simulator and service timing assumptions)"
+# Deadlines, timeouts and cost guards that hold in debug can fail once
+# release code runs an order of magnitude faster.
+cargo test --release -q -p amped-sim -p amped-serve
+
 echo "==> fault-injection smoke (seeded failures must not beat the fault-free time)"
 # A seeded replay with stragglers + a tiny MTBF: it must inject real
 # failures, and the wall time must never undercut the fault-free run.
