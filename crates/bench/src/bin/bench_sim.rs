@@ -5,7 +5,8 @@
 //! the graph size, the event count and the resource visits, all exact;
 //! the median host time per iteration with its sample count; and, from
 //! as many observed iterations, the mean graph-build, event-loop and
-//! remaining milliseconds. Run with
+//! remaining milliseconds (the build and loop from the sums of the
+//! `sim.build.us`/`sim.run.us` histograms). Run with
 //! `cargo run --release -p amped-bench --bin bench_sim`.
 
 use std::sync::Arc;
@@ -67,9 +68,9 @@ fn rung(model: &TransformerModel, accel: &AcceleratorSpec, nodes: usize) -> serd
         std::hint::black_box(observed.simulate_iteration(batch).expect("simulates"));
     }
     let traced_ms = start.elapsed().as_secs_f64() * 1e3 / samples.len() as f64;
-    let t = traced.counters();
+    let histograms = traced.histograms();
     let phase_ms =
-        |phase: &str| t[&format!("{phase}.us_total")] as f64 / 1e3 / samples.len() as f64;
+        |phase: &str| histograms[&format!("{phase}.us")].sum as f64 / 1e3 / samples.len() as f64;
     let (build_ms, run_ms) = (phase_ms("sim.build"), phase_ms("sim.run"));
     println!(
         "n{nodes}: {events} events, {:.2} ms/iteration (median of {}), {:.0} events/s; \
@@ -106,7 +107,8 @@ fn main() {
                     batch 2 x nodes, GPipe, case-study efficiency",
         "nproc": nproc,
         "timing": "host_ms_per_iteration: median of simulate_iteration without an observer; \
-                   build/run/other_ms: means over as many observed iterations",
+                   build/run/other_ms: means over as many observed iterations \
+                   (build and run from the sim.build.us/sim.run.us histogram sums)",
         "rungs": rungs,
     });
     let text = serde_json::to_string_pretty(&report).expect("serializes");

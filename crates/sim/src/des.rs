@@ -205,7 +205,11 @@ impl Simulator {
             events: BinaryHeap::new(),
             seq: 0,
             stats: vec![DeviceStats::default(); n_devices],
-            timeline: Timeline::new(n_devices),
+            // Each task records exactly one interval.
+            timeline: Timeline::with_capacity(
+                n_devices,
+                if self.record_timeline { n_tasks } else { 0 },
+            ),
             visits: 0,
         };
 

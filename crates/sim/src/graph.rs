@@ -6,6 +6,14 @@
 //! are explicit edges; per-device execution order among ready tasks follows
 //! the task priority (its creation index unless overridden), which is how
 //! pipeline schedules like 1F1B are expressed.
+//!
+//! Edges are stored flat (compressed sparse rows): every task's
+//! predecessors sit in one shared id array, appended by [`TaskGraph::add`],
+//! and the successor lists are derived from them once, on first use, by a
+//! counting sort. Building a graph therefore costs O(tasks + edges) time
+//! and no allocation per task beyond amortized growth of the flat arrays.
+
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -57,12 +65,23 @@ pub struct Task {
 }
 
 /// A DAG of compute and transfer tasks over a set of devices.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TaskGraph {
     tasks: Vec<Task>,
-    preds: Vec<Vec<TaskId>>,
-    succs: Vec<Vec<TaskId>>,
+    /// `pred_ids[pred_start[id]..pred_start[id + 1]]` are the deps of `id`,
+    /// in the order (and with the duplicates) they were given.
+    pred_start: Vec<usize>,
+    pred_ids: Vec<TaskId>,
+    /// Successor lists in the same layout, ascending with one entry per
+    /// edge; derived from the preds on first use, reset by every `add`.
+    succs: OnceLock<(Vec<usize>, Vec<TaskId>)>,
     num_devices: usize,
+}
+
+impl Default for TaskGraph {
+    fn default() -> Self {
+        TaskGraph::new(0)
+    }
 }
 
 impl TaskGraph {
@@ -70,8 +89,9 @@ impl TaskGraph {
     pub fn new(num_devices: usize) -> Self {
         TaskGraph {
             tasks: Vec::new(),
-            preds: Vec::new(),
-            succs: Vec::new(),
+            pred_start: vec![0],
+            pred_ids: Vec::new(),
+            succs: OnceLock::new(),
             num_devices,
         }
     }
@@ -84,6 +104,11 @@ impl TaskGraph {
     /// Number of tasks.
     pub fn len(&self) -> usize {
         self.tasks.len()
+    }
+
+    /// Number of dependency edges: one per dep, duplicates included.
+    pub fn num_edges(&self) -> usize {
+        self.pred_ids.len()
     }
 
     /// Whether the graph has no tasks.
@@ -127,11 +152,9 @@ impl TaskGraph {
             priority: id as u64,
             label,
         });
-        self.preds.push(deps.to_vec());
-        self.succs.push(Vec::new());
-        for &d in deps {
-            self.succs[d].push(id);
-        }
+        self.pred_ids.extend_from_slice(deps);
+        self.pred_start.push(self.pred_ids.len());
+        self.succs.take();
         id
     }
 
@@ -158,14 +181,40 @@ impl TaskGraph {
         &self.tasks
     }
 
-    /// Predecessors of `id`.
+    /// Predecessors of `id`, in the order given to [`TaskGraph::add`].
     pub fn preds(&self, id: TaskId) -> &[TaskId] {
-        &self.preds[id]
+        &self.pred_ids[self.pred_start[id]..self.pred_start[id + 1]]
     }
 
-    /// Successors of `id`.
+    /// Successors of `id` in ascending order, one entry per edge (a task
+    /// that lists `id` twice appears twice).
     pub fn succs(&self, id: TaskId) -> &[TaskId] {
-        &self.succs[id]
+        let (start, ids) = self.succs.get_or_init(|| self.successor_rows());
+        &ids[start[id]..start[id + 1]]
+    }
+
+    /// Transpose the pred rows by counting sort: count each task's
+    /// out-degree, prefix-sum into row starts, then scatter successors in
+    /// ascending task order.
+    fn successor_rows(&self) -> (Vec<usize>, Vec<TaskId>) {
+        let mut start = vec![0usize; self.tasks.len() + 1];
+        for &d in &self.pred_ids {
+            start[d + 1] += 1;
+        }
+        let mut sum = 0;
+        for s in &mut start {
+            sum += *s;
+            *s = sum;
+        }
+        let mut next = start.clone();
+        let mut ids = vec![0; self.pred_ids.len()];
+        for id in 0..self.tasks.len() {
+            for &d in self.preds(id) {
+                ids[next[d]] = id;
+                next[d] += 1;
+            }
+        }
+        (start, ids)
     }
 
     /// Total compute seconds per device (lower bound on its busy time).

@@ -42,8 +42,14 @@ pub struct Timeline {
 impl Timeline {
     /// An empty timeline over `num_devices` devices.
     pub fn new(num_devices: usize) -> Self {
+        Timeline::with_capacity(num_devices, 0)
+    }
+
+    /// An empty timeline over `num_devices` devices with room for
+    /// `entries` intervals.
+    pub fn with_capacity(num_devices: usize, entries: usize) -> Self {
         Timeline {
-            entries: Vec::new(),
+            entries: Vec::with_capacity(entries),
             num_devices,
             makespan_s: 0.0,
         }

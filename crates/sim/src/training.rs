@@ -327,10 +327,7 @@ impl<'a> SimConfig<'a> {
         if let Some(obs) = &self.observer {
             obs.add("sim.iterations", 1);
             obs.add("sim.graph.tasks", graph.len() as u64);
-            obs.add(
-                "sim.graph.edges",
-                (0..graph.len()).map(|t| graph.preds(t).len() as u64).sum(),
-            );
+            obs.add("sim.graph.edges", graph.num_edges() as u64);
             if self.record_devices {
                 let pp = self.parallelism.pp();
                 obs.set_device_utilization(
@@ -848,29 +845,28 @@ impl<'a> SimConfig<'a> {
         // Per-device priority counters implementing the chosen schedule.
         let priorities = self.schedule_priorities(pp, n_ub);
 
-        let mut last_bwd: Vec<Vec<TaskId>> = vec![Vec::new(); dp * pp];
+        let mut last_bwd: Vec<Vec<TaskId>> =
+            (0..dp * pp).map(|_| Vec::with_capacity(n_ub)).collect();
+        // fwd_done[m * pp + s], rewritten for every DP rank.
+        let mut fwd_done = vec![0usize; n_ub * pp];
+        let mut deps: Vec<TaskId> = Vec::new();
         for dp_rank in 0..dp {
-            // fwd_done[m][s], bwd_done[m][s]
-            let mut fwd_done = vec![vec![0usize; pp]; n_ub];
-            let mut fwd_xfer = vec![vec![None::<TaskId>; pp]; n_ub];
             for m in 0..n_ub {
+                // The activation transfer into stage `s`.
+                let mut act_in: Option<TaskId> = None;
                 for s in 0..pp {
-                    let mut deps: Vec<TaskId> = Vec::new();
-                    if s > 0 {
-                        deps.push(fwd_xfer[m][s - 1].expect("transfer built in order"));
-                    }
                     let id = graph.add_with_priority(
                         TaskKind::Compute {
                             device: self.device(dp_rank, s),
                             duration_s: durations[s].0,
                         },
                         "fwd",
-                        &deps,
-                        priorities.fwd[m][s],
+                        act_in.as_slice(),
+                        priorities.fwd[m * pp + s],
                     );
-                    fwd_done[m][s] = id;
+                    fwd_done[m * pp + s] = id;
                     if s + 1 < pp {
-                        let x = graph.add(
+                        act_in = Some(graph.add(
                             TaskKind::Transfer {
                                 src: self.device(dp_rank, s),
                                 dst: self.device(dp_rank, s + 1),
@@ -879,18 +875,17 @@ impl<'a> SimConfig<'a> {
                             },
                             "act>",
                             &[id],
-                        );
-                        fwd_xfer[m][s] = Some(x);
+                        ));
                     }
                 }
             }
-            let mut bwd_xfer = vec![vec![None::<TaskId>; pp]; n_ub];
             for m in 0..n_ub {
+                // The error transfer into stage `s`.
+                let mut err_in: Option<TaskId> = None;
                 for s in (0..pp).rev() {
-                    let mut deps = vec![fwd_done[m][s]];
-                    if s + 1 < pp {
-                        deps.push(bwd_xfer[m][s + 1].expect("built in order"));
-                    }
+                    deps.clear();
+                    deps.push(fwd_done[m * pp + s]);
+                    deps.extend(err_in);
                     let id = graph.add_with_priority(
                         TaskKind::Compute {
                             device: self.device(dp_rank, s),
@@ -898,11 +893,11 @@ impl<'a> SimConfig<'a> {
                         },
                         "bwd",
                         &deps,
-                        priorities.bwd[m][s],
+                        priorities.bwd[m * pp + s],
                     );
                     last_bwd[self.device(dp_rank, s)].push(id);
                     if s > 0 {
-                        let x = graph.add(
+                        err_in = Some(graph.add(
                             TaskKind::Transfer {
                                 src: self.device(dp_rank, s),
                                 dst: self.device(dp_rank, s - 1),
@@ -911,8 +906,7 @@ impl<'a> SimConfig<'a> {
                             },
                             "err<",
                             &[id],
-                        );
-                        bwd_xfer[m][s] = Some(x);
+                        ));
                     }
                 }
             }
@@ -928,56 +922,76 @@ impl<'a> SimConfig<'a> {
                 .sum();
             let grad_bytes =
                 stage_weights / p.tp() as f64 * self.precision.grad_bits as f64 / 8.0;
-
-            let mut final_step: Vec<TaskId> = Vec::new();
-            if self.grad_sync && dp > 1 {
-                final_step = self.add_grad_sync(&mut graph, s, grad_bytes, &last_bwd, grad_prio_base);
-            }
-            let mut ckpt_deps: Vec<TaskId> = last_bwd[self.device(0, s)].clone();
-            ckpt_deps.extend(&final_step);
-            if self.weight_update {
-                for dp_rank in 0..dp {
-                    let mut deps: Vec<TaskId> = last_bwd[self.device(dp_rank, s)].clone();
-                    deps.extend(&final_step);
-                    let id = graph.add_with_priority(
-                        TaskKind::Compute {
-                            device: self.device(dp_rank, s),
-                            duration_s: durations[s].2,
-                        },
-                        "wupd",
-                        &deps,
-                        grad_prio_base + 10_000,
-                    );
-                    if dp_rank == 0 {
-                        ckpt_deps = vec![id];
-                    }
-                }
-            }
-            self.add_checkpoint_write(&mut graph, s, &ckpt_deps, grad_prio_base);
+            self.add_stage_tail(
+                &mut graph,
+                s,
+                grad_bytes,
+                durations[s].2,
+                &last_bwd,
+                grad_prio_base,
+            );
         }
 
         Ok(graph)
     }
 
-    /// Append the stage's checkpoint-write task (when checkpoint writes are
-    /// configured): a `"ckpt"` compute task on the stage's dp-rank-0 device
-    /// that blocks the device until the snapshot has drained to storage —
-    /// the synchronous-checkpoint model the Young/Daly analysis assumes.
-    fn add_checkpoint_write(
+    /// Append everything after a stage's last backward pass: the gradient
+    /// sync over its DP group, one weight update of `update_s` seconds per
+    /// DP rank, and — when checkpoint writes are configured — a `"ckpt"`
+    /// compute task on the stage's dp-rank-0 device that blocks the device
+    /// until the snapshot has drained to storage (the synchronous-checkpoint
+    /// model the Young/Daly analysis assumes). The write follows dp rank
+    /// 0's update, or what that update would have followed.
+    fn add_stage_tail(
         &self,
         graph: &mut TaskGraph,
         stage: usize,
-        deps: &[TaskId],
+        grad_bytes: f64,
+        update_s: f64,
+        last_bwd: &[Vec<TaskId>],
         grad_prio_base: u64,
     ) {
+        let dp = self.parallelism.dp();
+        let mut deps = Vec::new();
+        let synced = if self.grad_sync && dp > 1 {
+            self.add_grad_sync(graph, stage, grad_bytes, last_bwd, grad_prio_base)
+        } else {
+            Vec::new()
+        };
+        let mut first_update = None;
+        if self.weight_update {
+            for dp_rank in 0..dp {
+                deps.clear();
+                deps.extend_from_slice(&last_bwd[self.device(dp_rank, stage)]);
+                deps.extend_from_slice(&synced);
+                let id = graph.add_with_priority(
+                    TaskKind::Compute {
+                        device: self.device(dp_rank, stage),
+                        duration_s: update_s,
+                    },
+                    "wupd",
+                    &deps,
+                    grad_prio_base + 10_000,
+                );
+                first_update.get_or_insert(id);
+            }
+        }
         if let Some(ckpt) = &self.ckpt_stage_s {
+            deps.clear();
+            match first_update {
+                Some(id) => deps.push(id),
+                None => {
+                    deps.extend_from_slice(&last_bwd[self.device(0, stage)]);
+                    deps.extend_from_slice(&synced);
+                }
+            }
             graph.add_with_priority(
                 TaskKind::Compute {
                     device: self.device(0, stage),
                     duration_s: ckpt.get(stage).copied().unwrap_or(0.0),
                 },
                 "ckpt",
-                deps,
+                &deps,
                 grad_prio_base + 20_000,
             );
         }
@@ -1018,18 +1032,17 @@ impl<'a> SimConfig<'a> {
             / p.tp() as f64;
 
         let device_of_chunk = |c: usize| c % pp;
-        let mut last_bwd: Vec<Vec<TaskId>> = vec![Vec::new(); dp * pp];
+        let mut last_bwd: Vec<Vec<TaskId>> =
+            (0..dp * pp).map(|_| Vec::with_capacity(n_ub * v)).collect();
+        // fwd_done[m * chunks_total + c], rewritten for every DP rank.
+        let mut fwd_done = vec![0usize; n_ub * chunks_total];
+        let mut deps: Vec<TaskId> = Vec::new();
         for dp_rank in 0..dp {
             // Forward through all virtual chunks, then backward.
-            let mut fwd_done = vec![vec![0usize; chunks_total]; n_ub];
-            let mut prev_xfer: Vec<Vec<Option<TaskId>>> =
-                vec![vec![None; chunks_total]; n_ub];
             for m in 0..n_ub {
+                // The activation transfer into chunk `c`.
+                let mut act_in: Option<TaskId> = None;
                 for c in 0..chunks_total {
-                    let mut deps: Vec<TaskId> = Vec::new();
-                    if c > 0 {
-                        deps.push(prev_xfer[m][c - 1].expect("built in order"));
-                    }
                     let dev = self.device(dp_rank, device_of_chunk(c));
                     let id = graph.add_with_priority(
                         TaskKind::Compute {
@@ -1037,13 +1050,13 @@ impl<'a> SimConfig<'a> {
                             duration_s: durations[c].0,
                         },
                         "fwd",
-                        &deps,
+                        act_in.as_slice(),
                         (m * chunks_total + c) as u64,
                     );
-                    fwd_done[m][c] = id;
+                    fwd_done[m * chunks_total + c] = id;
                     if c + 1 < chunks_total {
                         let next_dev = self.device(dp_rank, device_of_chunk(c + 1));
-                        let x = graph.add(
+                        act_in = Some(graph.add(
                             TaskKind::Transfer {
                                 src: dev,
                                 dst: next_dev,
@@ -1053,20 +1066,18 @@ impl<'a> SimConfig<'a> {
                             },
                             "act>",
                             &[id],
-                        );
-                        prev_xfer[m][c] = Some(x);
+                        ));
                     }
                 }
             }
             let bwd_base = (n_ub * chunks_total) as u64;
-            let mut bwd_xfer: Vec<Vec<Option<TaskId>>> =
-                vec![vec![None; chunks_total]; n_ub];
             for m in 0..n_ub {
+                // The error transfer into chunk `c`.
+                let mut err_in: Option<TaskId> = None;
                 for c in (0..chunks_total).rev() {
-                    let mut deps = vec![fwd_done[m][c]];
-                    if c + 1 < chunks_total {
-                        deps.push(bwd_xfer[m][c + 1].expect("built in order"));
-                    }
+                    deps.clear();
+                    deps.push(fwd_done[m * chunks_total + c]);
+                    deps.extend(err_in);
                     let dev = self.device(dp_rank, device_of_chunk(c));
                     let id = graph.add_with_priority(
                         TaskKind::Compute {
@@ -1080,7 +1091,7 @@ impl<'a> SimConfig<'a> {
                     last_bwd[dev].push(id);
                     if c > 0 {
                         let prev_dev = self.device(dp_rank, device_of_chunk(c - 1));
-                        let x = graph.add(
+                        err_in = Some(graph.add(
                             TaskKind::Transfer {
                                 src: dev,
                                 dst: prev_dev,
@@ -1090,8 +1101,7 @@ impl<'a> SimConfig<'a> {
                             },
                             "err<",
                             &[id],
-                        );
-                        bwd_xfer[m][c] = Some(x);
+                        ));
                     }
                 }
             }
@@ -1109,37 +1119,13 @@ impl<'a> SimConfig<'a> {
                 .sum();
             let grad_bytes =
                 device_weights / p.tp() as f64 * self.precision.grad_bits as f64 / 8.0;
-            let mut final_step: Vec<TaskId> = Vec::new();
-            if self.grad_sync && dp > 1 {
-                final_step = self.add_grad_sync(&mut graph, s, grad_bytes, &last_bwd, grad_prio_base);
-            }
-            let mut ckpt_deps: Vec<TaskId> = last_bwd[self.device(0, s)].clone();
-            ckpt_deps.extend(&final_step);
-            if self.weight_update {
-                let wu: f64 = chunks
-                    .iter()
-                    .enumerate()
-                    .filter(|(c, _)| device_of_chunk(*c) == s)
-                    .map(|(c, _)| durations[c].2)
-                    .sum();
-                for dp_rank in 0..dp {
-                    let mut deps: Vec<TaskId> = last_bwd[self.device(dp_rank, s)].clone();
-                    deps.extend(&final_step);
-                    let id = graph.add_with_priority(
-                        TaskKind::Compute {
-                            device: self.device(dp_rank, s),
-                            duration_s: wu,
-                        },
-                        "wupd",
-                        &deps,
-                        grad_prio_base + 10_000,
-                    );
-                    if dp_rank == 0 {
-                        ckpt_deps = vec![id];
-                    }
-                }
-            }
-            self.add_checkpoint_write(&mut graph, s, &ckpt_deps, grad_prio_base);
+            let wu: f64 = chunks
+                .iter()
+                .enumerate()
+                .filter(|(c, _)| device_of_chunk(*c) == s)
+                .map(|(c, _)| durations[c].2)
+                .sum();
+            self.add_stage_tail(&mut graph, s, grad_bytes, wu, &last_bwd, grad_prio_base);
         }
 
         Ok(graph)
@@ -1147,32 +1133,34 @@ impl<'a> SimConfig<'a> {
 
     /// Lower one ring collective among the DP ranks of `stage` into
     /// transfer tasks with exact ring dependencies; returns the final-step
-    /// task ids. `rank_of` maps group-local positions to DP ranks.
+    /// task ids. `rank_of` maps group-local positions to DP ranks; a rank's
+    /// first-step transfer waits on `entry_deps` of that rank, every later
+    /// one on the transfer the rank received in the step before.
     #[allow(clippy::too_many_arguments)]
-    fn add_ring_phase(
+    fn add_ring_phase<'d>(
         &self,
         graph: &mut TaskGraph,
         stage: usize,
         schedule: &amped_topo::Schedule,
         rank_of: &dyn Fn(usize) -> usize,
-        entry_deps: &dyn Fn(usize) -> Vec<TaskId>,
+        entry_deps: &dyn Fn(usize) -> &'d [TaskId],
         prio: u64,
         label: &'static str,
     ) -> Vec<TaskId> {
         let n = schedule.num_ranks();
         let steps = schedule.num_steps();
+        // What each rank received in the previous and in the current step.
         let mut prev: Vec<Option<TaskId>> = vec![None; n];
+        let mut cur: Vec<Option<TaskId>> = vec![None; n];
         let mut finals = Vec::new();
         for (step, batch) in schedule.steps() {
-            let mut cur: Vec<Option<TaskId>> = vec![None; n];
             for tr in batch {
-                let mut deps: Vec<TaskId> = Vec::new();
-                if step == 0 {
-                    deps.extend(entry_deps(tr.src));
-                }
-                if let Some(Some(d)) = prev.get(tr.src).copied() {
-                    deps.push(d);
-                }
+                let received = prev.get(tr.src).copied().flatten();
+                let deps = if step == 0 {
+                    entry_deps(tr.src)
+                } else {
+                    received.as_slice()
+                };
                 let (src_rank, dst_rank) = (rank_of(tr.src), rank_of(tr.dst));
                 let id = graph.add_with_priority(
                     TaskKind::Transfer {
@@ -1182,7 +1170,7 @@ impl<'a> SimConfig<'a> {
                         link: self.dp_link(src_rank, dst_rank),
                     },
                     label,
-                    &deps,
+                    deps,
                     prio + step as u64,
                 );
                 cur[tr.dst] = Some(id);
@@ -1190,7 +1178,8 @@ impl<'a> SimConfig<'a> {
                     finals.push(id);
                 }
             }
-            prev = cur;
+            std::mem::swap(&mut prev, &mut cur);
+            cur.fill(None);
         }
         finals
     }
@@ -1216,14 +1205,14 @@ impl<'a> SimConfig<'a> {
                 stage,
                 &schedule,
                 &|g| g,
-                &|g| last_bwd[self.device(g, stage)].clone(),
+                &|g| &last_bwd[self.device(g, stage)],
                 prio,
                 "gsync",
             );
         }
         // Phase 1: reduce-scatter inside each node group (ranks r0..r0+dp_i).
         let rs = amped_topo::Schedule::ring_reduce_scatter(dp_i, grad_bytes as u64);
-        let mut phase1_finals: Vec<Vec<TaskId>> = Vec::new();
+        let mut phase1_finals: Vec<Vec<TaskId>> = Vec::with_capacity(dp_x);
         for node in 0..dp_x {
             let base = node * dp_i;
             let finals = self.add_ring_phase(
@@ -1231,7 +1220,7 @@ impl<'a> SimConfig<'a> {
                 stage,
                 &rs,
                 &move |g| base + g,
-                &|g| last_bwd[self.device(base + g, stage)].clone(),
+                &|g| &last_bwd[self.device(base + g, stage)],
                 prio,
                 "gsync-rs",
             );
@@ -1242,13 +1231,12 @@ impl<'a> SimConfig<'a> {
         let inter = amped_topo::Schedule::ring_all_reduce(dp_x, (grad_bytes / dp_i as f64) as u64);
         let mut phase2_finals: Vec<TaskId> = Vec::new();
         for q in 0..dp_i {
-            let deps_src: Vec<Vec<TaskId>> = (0..dp_x).map(|n| phase1_finals[n].clone()).collect();
             let finals = self.add_ring_phase(
                 graph,
                 stage,
                 &inter,
                 &move |g| g * dp_i + q,
-                &|g| deps_src[g].clone(),
+                &|g| &phase1_finals[g],
                 prio + 1000,
                 "gsync-x",
             );
@@ -1259,13 +1247,12 @@ impl<'a> SimConfig<'a> {
         let mut finals = Vec::new();
         for node in 0..dp_x {
             let base = node * dp_i;
-            let entry = phase2_finals.clone();
             finals.extend(self.add_ring_phase(
                 graph,
                 stage,
                 &ag,
                 &move |g| base + g,
-                &move |_| entry.clone(),
+                &|_| &phase2_finals,
                 prio + 2000,
                 "gsync-ag",
             ));
@@ -1275,15 +1262,15 @@ impl<'a> SimConfig<'a> {
 
     /// Per-(microbatch, stage) priorities realizing the schedule.
     fn schedule_priorities(&self, pp: usize, n_ub: usize) -> SchedulePriorities {
-        let mut fwd = vec![vec![0u64; pp]; n_ub];
-        let mut bwd = vec![vec![0u64; pp]; n_ub];
+        let mut fwd = vec![0u64; n_ub * pp];
+        let mut bwd = vec![0u64; n_ub * pp];
         match self.schedule {
             PipelineSchedule::GPipe | PipelineSchedule::Interleaved { .. } => {
                 // All forwards first (microbatch-major), then all backwards.
-                for (m, (f_row, b_row)) in fwd.iter_mut().zip(bwd.iter_mut()).enumerate() {
+                for m in 0..n_ub {
                     for s in 0..pp {
-                        f_row[s] = m as u64;
-                        b_row[s] = (n_ub + m) as u64;
+                        fwd[m * pp + s] = m as u64;
+                        bwd[m * pp + s] = (n_ub + m) as u64;
                     }
                 }
             }
@@ -1292,16 +1279,16 @@ impl<'a> SimConfig<'a> {
                 for s in 0..pp {
                     let warmup = (pp - s).min(n_ub);
                     let mut slot = 0u64;
-                    for row in fwd.iter_mut().take(warmup) {
-                        row[s] = slot;
+                    for m in 0..warmup {
+                        fwd[m * pp + s] = slot;
                         slot += 1;
                     }
                     let mut next_fwd = warmup;
-                    for row in bwd.iter_mut().take(n_ub) {
-                        row[s] = slot;
+                    for m in 0..n_ub {
+                        bwd[m * pp + s] = slot;
                         slot += 1;
                         if next_fwd < n_ub {
-                            fwd[next_fwd][s] = slot;
+                            fwd[next_fwd * pp + s] = slot;
                             slot += 1;
                             next_fwd += 1;
                         }
@@ -1313,9 +1300,10 @@ impl<'a> SimConfig<'a> {
     }
 }
 
+/// Priorities indexed `[m * pp + s]` for microbatch `m` at stage `s`.
 struct SchedulePriorities {
-    fwd: Vec<Vec<u64>>,
-    bwd: Vec<Vec<u64>>,
+    fwd: Vec<u64>,
+    bwd: Vec<u64>,
 }
 
 #[cfg(test)]

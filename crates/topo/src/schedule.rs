@@ -23,6 +23,11 @@ pub struct TransferStep {
 
 /// A collective lowered to point-to-point transfers.
 ///
+/// Invariant: transfers are stored in non-decreasing `step` order, so
+/// [`Schedule::steps`] groups them in one pass. Every constructor emits
+/// them that way; a deserialized schedule that does not is reported by
+/// [`crate::verify::check_schedule`].
+///
 /// # Example
 ///
 /// ```
@@ -262,17 +267,20 @@ impl Schedule {
     }
 
     /// Iterate over transfers grouped by step, in ascending step order.
-    pub fn steps(&self) -> impl Iterator<Item = (usize, Vec<TransferStep>)> + '_ {
-        let n = self.num_steps();
-        (0..n).map(move |s| {
-            (
-                s,
-                self.transfers
-                    .iter()
-                    .copied()
-                    .filter(|t| t.step == s)
-                    .collect(),
-            )
+    ///
+    /// One linear pass, relying on the [`Schedule`] step-order invariant.
+    /// A step with no transfers yields an empty slice.
+    pub fn steps(&self) -> impl Iterator<Item = (usize, &[TransferStep])> + '_ {
+        debug_assert!(
+            self.transfers.windows(2).all(|w| w[0].step <= w[1].step),
+            "schedule transfers must be in ascending step order"
+        );
+        let mut rest = self.transfers.as_slice();
+        (0..self.num_steps()).map(move |s| {
+            let len = rest.iter().position(|t| t.step != s).unwrap_or(rest.len());
+            let (group, tail) = rest.split_at(len);
+            rest = tail;
+            (s, group)
         })
     }
 }
@@ -317,7 +325,7 @@ mod tests {
             let mut have = vec![false; n];
             have[0] = true;
             for (_, batch) in s.steps() {
-                for t in &batch {
+                for t in batch {
                     assert!(have[t.src], "sender {} has no data yet", t.src);
                     have[t.dst] = true;
                 }
@@ -356,7 +364,7 @@ mod tests {
     fn halving_doubling_partners_are_symmetric() {
         let s = Schedule::halving_doubling_all_reduce(8, 8192);
         for (_, batch) in s.steps() {
-            for t in &batch {
+            for t in batch {
                 assert!(
                     batch.iter().any(|u| u.src == t.dst && u.dst == t.src),
                     "every exchange must be mutual"
@@ -386,7 +394,7 @@ mod tests {
         for (_, batch) in s.steps() {
             let mut senders = std::collections::HashSet::new();
             let mut receivers = std::collections::HashSet::new();
-            for t in &batch {
+            for t in batch {
                 assert!(senders.insert(t.src), "duplicate sender in step");
                 assert!(receivers.insert(t.dst), "duplicate receiver in step");
             }

@@ -23,6 +23,12 @@ pub enum ScheduleViolation {
         /// First missing step index.
         missing: usize,
     },
+    /// A transfer's step is lower than the step of the transfer before it,
+    /// breaking the ascending order [`Schedule::steps`] groups by.
+    StepsOutOfOrder {
+        /// Position of the offending transfer in the transfer list.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for ScheduleViolation {
@@ -36,6 +42,12 @@ impl std::fmt::Display for ScheduleViolation {
             }
             ScheduleViolation::NonContiguousSteps { missing } => {
                 write!(f, "step {missing} has no transfers but later steps do")
+            }
+            ScheduleViolation::StepsOutOfOrder { index } => {
+                write!(
+                    f,
+                    "transfer {index} has a lower step than the transfer before it"
+                )
             }
         }
     }
@@ -54,7 +66,12 @@ pub fn check_schedule(schedule: &Schedule) -> Vec<ScheduleViolation> {
     let mut violations = Vec::new();
     let n = schedule.num_ranks();
     let mut seen_steps = vec![false; schedule.num_steps()];
-    for t in schedule.transfers() {
+    let mut last_step = 0;
+    for (index, t) in schedule.transfers().iter().enumerate() {
+        if t.step < last_step {
+            violations.push(ScheduleViolation::StepsOutOfOrder { index });
+        }
+        last_step = t.step;
         if t.src >= n {
             violations.push(ScheduleViolation::RankOutOfRange {
                 rank: t.src,
@@ -135,5 +152,25 @@ mod tests {
             dst: 1,
             bytes: 1,
         };
+    }
+
+    #[test]
+    fn detects_steps_out_of_order() {
+        let json = serde_json::json!({
+            "transfers": [
+                {"step": 0, "src": 0, "dst": 1, "bytes": 1},
+                {"step": 1, "src": 1, "dst": 0, "bytes": 1},
+                {"step": 0, "src": 1, "dst": 0, "bytes": 1}
+            ],
+            "num_ranks": 2
+        });
+        let s: Schedule = serde_json::from_value(json).unwrap();
+        assert_eq!(
+            check_schedule(&s),
+            vec![ScheduleViolation::StepsOutOfOrder { index: 2 }]
+        );
+        assert!(ScheduleViolation::StepsOutOfOrder { index: 2 }
+            .to_string()
+            .contains('2'));
     }
 }

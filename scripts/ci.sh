@@ -13,10 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test -q --workspace
 
-echo "==> cargo test --release (simulator and service timing assumptions)"
+echo "==> cargo test --release (simulator, service and schedule checks with optimizations on)"
 # Deadlines, timeouts and cost guards that hold in debug can fail once
-# release code runs an order of magnitude faster.
-cargo test --release -q -p amped-sim -p amped-serve
+# release code runs an order of magnitude faster. The allocation guard and
+# the cluster-scale bit-pins must also hold with optimizations on.
+cargo test --release -q -p amped-sim -p amped-serve -p amped-topo
+cargo test --release -q --test sim_scale_regression
 
 echo "==> fault-injection smoke (seeded failures must not beat the fault-free time)"
 # A seeded replay with stragglers + a tiny MTBF: it must inject real
