@@ -4,8 +4,8 @@
 //! `search/rank_all_16x8` exercises the default engine (memoized
 //! estimation, worker pool sized to the host); `search/rank_all_16x8_serial`
 //! pins the original single-thread, uncached path so the speedup of the
-//! optimised path stays measurable — `cargo bin bench_search` records the
-//! same comparison into `BENCH_search.json`.
+//! optimised path stays measurable. `bench_search` records the larger
+//! plan-grid training grid, unpruned and pruned, into `BENCH_search.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -1,5 +1,7 @@
 //! Batched, vectorized cost evaluation: many parallelism candidates priced
-//! in one pass, bit-identical to [`Estimator::estimate_cached`].
+//! in one pass, bit-identical to [`Estimator::estimate_cached`], and their
+//! branch-and-bound lower bounds, bit-identical to
+//! [`Estimator::compute_lower_bound`].
 //!
 //! [`BatchEvaluator::estimate_many`] is the scalar memoized path unrolled
 //! across candidates:
@@ -18,13 +20,20 @@
 //!   policy, so consecutive microbatch variants of one mapping share a
 //!   single evaluation of the communication block.
 //!
+//! [`BatchEvaluator::lower_bounds`] is the same kernel under a term mask:
+//! the compute loop runs with stage imbalance masked to `1.0`, and the
+//! communication block keeps only its two tensor-parallel terms. The mask
+//! drops or shrinks only non-negative terms, which is why the bound never
+//! exceeds the estimate exactly in f64.
+//!
 //! **Bit-identity contract**: every float operation happens with the same
 //! values, the same association and the same order per candidate as in
 //! `estimate_cached` — hoisting only moves *where* a product is computed,
 //! never *how* — and all memoized sub-results go through the same
 //! [`EstimateCache`] helpers, so a batch call fills the cache with exactly
 //! the entries the scalar loop would. Differential tests pin
-//! `estimate_many` against the scalar loop bitwise, cold and warm.
+//! `estimate_many` against the scalar loop bitwise, cold and warm, and
+//! `lower_bounds` against `compute_lower_bound`.
 
 use amped_topo::Collective;
 
@@ -36,7 +45,7 @@ use crate::engine::{
 };
 use crate::error::{Error, Result};
 use crate::metrics;
-use crate::model::TransformerModel;
+use crate::model::{LayerKind, TransformerModel};
 use crate::network::SystemSpec;
 use crate::parallelism::{MicrobatchPolicy, Parallelism, ZeroStage};
 use crate::precision::Precision;
@@ -66,6 +75,79 @@ struct KindTerms {
     nl_b: f64,
     ww: f64,
     count: f64,
+}
+
+/// The batch-invariant inputs of the compute loop, shared by
+/// [`BatchEvaluator::estimate_many`] and [`BatchEvaluator::lower_bounds`].
+struct Hoisted {
+    groups: Vec<(LayerKind, usize)>,
+    kind_terms: Vec<KindTerms>,
+    c_nonlin: f64,
+    mac_scale: f64,
+    param_scale: f64,
+    nonlin_scale: f64,
+}
+
+/// Per-candidate scalars of one batch, struct-of-arrays. Candidates whose
+/// mapping fails validation carry their error and neutral values.
+struct PerCandidate {
+    errs: Vec<Option<Error>>,
+    workers: Vec<f64>,
+    n_ub: Vec<usize>,
+    ub: Vec<f64>,
+    eff: Vec<f64>,
+    replica_batch: Vec<f64>,
+    c_mac: Vec<f64>,
+}
+
+/// Per-candidate sums of the compute loop: the undivided `Σ U_f`/`Σ U_b`
+/// the bubble needs, and the three compute components of the breakdown.
+struct ComputeSums {
+    sum_uf: Vec<f64>,
+    sum_ub: Vec<f64>,
+    forward: Vec<f64>,
+    backward: Vec<f64>,
+    weight_update: Vec<f64>,
+}
+
+/// The compute loop, kind-outer and candidate-inner. Accumulation order
+/// per candidate matches the scalar loop (group order), and each
+/// expression completes the scalar association. With `imbalance` all
+/// `1.0` it is the lower bound's loop: `1.0 * u` is `u` exactly.
+fn compute_sums(h: &Hoisted, c_mac: &[f64], imbalance: &[f64], workers: &[f64]) -> ComputeSums {
+    let n = c_mac.len();
+    let mut s = ComputeSums {
+        sum_uf: vec![0.0; n],
+        sum_ub: vec![0.0; n],
+        forward: vec![0.0; n],
+        backward: vec![0.0; n],
+        weight_update: vec![0.0; n],
+    };
+    for kt in &h.kind_terms {
+        for j in 0..n {
+            let u_f = kt.macs_fwd * c_mac[j] * h.mac_scale + kt.nl_f;
+            let u_b = kt.bwd_macs * c_mac[j] * h.mac_scale + kt.nl_b;
+            let u_w = kt.ww * c_mac[j] * h.param_scale;
+            let iuf = imbalance[j] * u_f;
+            let iub = imbalance[j] * u_b;
+            s.sum_uf[j] += iuf * kt.count;
+            s.sum_ub[j] += iub * kt.count;
+            s.forward[j] += iuf / workers[j] * kt.count;
+            s.backward[j] += iub / workers[j] * kt.count;
+            s.weight_update[j] += u_w / workers[j] * kt.count;
+        }
+    }
+    s
+}
+
+/// Which communication terms [`BatchEvaluator::comm_terms`] evaluates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CommMask {
+    /// Every term of the estimate.
+    All,
+    /// Only the two tensor-parallel all-reduce terms: the lower bound's
+    /// communication floor.
+    TensorParallel,
 }
 
 /// Batched analytical evaluation of many parallelism candidates under one
@@ -192,47 +274,15 @@ impl<'a> BatchEvaluator<'a> {
         if n == 0 {
             return Vec::new();
         }
-        // Shared-input validation, in the scalar path's order.
-        if let Err(e) = self
-            .precision
-            .validate()
-            .and_then(|()| self.efficiency.validate())
-            .and_then(|()| self.options.validate())
-        {
+        if let Err(e) = self.validate_shared() {
             return mappings.iter().map(|_| Err(e.clone())).collect();
         }
 
-        let (model, accel, system) = (self.model, self.accel, self.system);
+        let model = self.model;
         let opts = self.options;
         let global_batch = training.global_batch();
-
-        // ---- Batch-invariant hoisting. ----
-        let c_nonlin = accel.c_nonlin();
-        let mac_scale = accel.mac_precision_scale(self.precision.mac_operand_bits());
-        let param_scale = accel.mac_precision_scale(self.precision.param_bits);
-        let nonlin_scale = accel.nonlin_precision_scale(self.precision.nonlin_bits);
-        let bwd_c = opts.backward_compute_factor + if opts.activation_recompute { 1.0 } else { 0.0 };
-
-        let groups = cache.groups(model);
-        // Constant left factors of the per-kind compute terms. Each product
-        // below is a prefix of the scalar expression's left-associated
-        // chain, so completing it per candidate reproduces the scalar
-        // result bit-for-bit.
-        let kind_terms: Vec<KindTerms> = groups
-            .iter()
-            .map(|&(kind, count)| {
-                let cg = cache.layer_counts(model, kind, global_batch as f64);
-                KindTerms {
-                    macs_fwd: cg.macs_fwd,
-                    bwd_macs: bwd_c * cg.macs_fwd,
-                    nl_f: cg.nonlin_fwd * c_nonlin * nonlin_scale,
-                    nl_b: opts.backward_nonlin_factor * cg.nonlin_fwd * c_nonlin * nonlin_scale,
-                    ww: opts.weight_update_factor * cg.weights,
-                    count: count as f64,
-                }
-            })
-            .collect();
-        let stack_len: usize = groups.iter().map(|(_, n)| n).sum();
+        let h = self.hoist(cache, global_batch);
+        let stack_len: usize = h.groups.iter().map(|(_, n)| n).sum();
         let compute_scale = match opts.bubble_accounting {
             crate::engine::BubbleAccounting::GPipe => 1.0,
             crate::engine::BubbleAccounting::PaperEq8 => 1.0 / stack_len as f64,
@@ -250,66 +300,35 @@ impl<'a> BatchEvaluator<'a> {
             }
         };
 
-        // ---- Per-candidate scalars (struct-of-arrays). ----
-        let mut errs: Vec<Option<Error>> = (0..n).map(|_| None).collect();
-        let mut workers = vec![1.0f64; n];
-        let mut n_ub = vec![1usize; n];
-        let mut ub = vec![0.0f64; n];
-        let mut eff = vec![0.0f64; n];
-        let mut replica_batch = vec![0.0f64; n];
-        let mut c_mac = vec![0.0f64; n];
+        let PerCandidate {
+            mut errs,
+            workers,
+            n_ub,
+            ub,
+            eff,
+            replica_batch,
+            c_mac,
+        } = self.per_candidate(mappings, global_batch);
         let mut imbalance = vec![1.0f64; n];
         for (j, p) in mappings.iter().enumerate() {
-            if let Err(e) = p.validate_against(system, model) {
-                errs[j] = Some(e);
-                continue;
-            }
-            workers[j] = p.total_workers() as f64;
-            n_ub[j] = p.num_microbatches(global_batch);
-            ub[j] = p.microbatch_size(global_batch);
-            eff[j] = self.efficiency.eval(ub[j]);
-            replica_batch[j] = p.replica_batch(global_batch);
-            c_mac[j] = accel.c_mac(eff[j]);
-            imbalance[j] = if opts.stage_imbalance_correction && p.pp() > 1 {
+            if errs[j].is_none() && opts.stage_imbalance_correction && p.pp() > 1 {
                 let r = stage_imbalance_ratio(
                     cache,
                     model,
                     p.pp(),
                     eff[j].to_bits(),
                     c_mac[j],
-                    mac_scale,
-                    c_nonlin,
-                    nonlin_scale,
+                    h.mac_scale,
+                    h.c_nonlin,
+                    h.nonlin_scale,
                 );
                 let (m, pf) = (n_ub[j] as f64, p.pp() as f64);
-                ((pf + (m - 1.0) * r) / (m + pf - 1.0)).max(1.0)
-            } else {
-                1.0
-            };
+                imbalance[j] = ((pf + (m - 1.0) * r) / (m + pf - 1.0)).max(1.0);
+            }
         }
 
         // ---- Vectorized compute loops: kind-outer, candidate-inner. ----
-        // Accumulation order per candidate matches the scalar loop (group
-        // order), and each expression completes the scalar association.
-        let mut sum_uf = vec![0.0f64; n];
-        let mut sum_ub_ = vec![0.0f64; n];
-        let mut cf = vec![0.0f64; n];
-        let mut cb = vec![0.0f64; n];
-        let mut wu = vec![0.0f64; n];
-        for kt in &kind_terms {
-            for j in 0..n {
-                let u_f = kt.macs_fwd * c_mac[j] * mac_scale + kt.nl_f;
-                let u_b = kt.bwd_macs * c_mac[j] * mac_scale + kt.nl_b;
-                let u_w = kt.ww * c_mac[j] * param_scale;
-                let iuf = imbalance[j] * u_f;
-                let iub = imbalance[j] * u_b;
-                sum_uf[j] += iuf * kt.count;
-                sum_ub_[j] += iub * kt.count;
-                cf[j] += iuf / workers[j] * kt.count;
-                cb[j] += iub / workers[j] * kt.count;
-                wu[j] += u_w / workers[j] * kt.count;
-            }
-        }
+        let sums = compute_sums(&h, &c_mac, &imbalance, &workers);
 
         // ---- Communication, shared across a mapping's variants. ----
         // All terms depend only on the mapping's degrees/ZeRO config and
@@ -327,7 +346,7 @@ impl<'a> BatchEvaluator<'a> {
             comm[j] = match &prev {
                 Some((key, t)) if *key == norm => *t,
                 _ => {
-                    let t = self.comm_terms(cache, p, replica_batch[j], &groups);
+                    let t = self.comm_terms(cache, p, replica_batch[j], &h.groups, CommMask::All);
                     prev = Some((norm, t));
                     t
                 }
@@ -344,9 +363,9 @@ impl<'a> BatchEvaluator<'a> {
                 let p = &mappings[j];
                 let t = comm[j];
                 let mut b = Breakdown {
-                    compute_forward: cf[j],
-                    compute_backward: cb[j],
-                    weight_update: wu[j],
+                    compute_forward: sums.forward[j],
+                    compute_backward: sums.backward[j],
+                    weight_update: sums.weight_update[j],
                     tp_comm_intra: t.tp_comm_intra,
                     tp_comm_inter: t.tp_comm_inter,
                     pp_comm: t.pp_comm,
@@ -357,7 +376,7 @@ impl<'a> BatchEvaluator<'a> {
                 };
                 if p.pp() > 1 {
                     b.bubble = p.bubble_ratio() * (p.pp() as f64 - 1.0) / n_ub[j] as f64
-                        * (compute_scale * (sum_uf[j] + sum_ub_[j]) / workers[j]
+                        * (compute_scale * (sums.sum_uf[j] + sums.sum_ub[j]) / workers[j]
                             + t.fwd_comm_for_bubble);
                 }
                 let time_per_iteration = b.total();
@@ -385,19 +404,163 @@ impl<'a> BatchEvaluator<'a> {
             .collect()
     }
 
+    /// The branch-and-bound lower bound of every candidate mapping for
+    /// `training`, one result per input in order: equal bitwise to
+    /// [`Estimator::compute_lower_bound`](crate::Estimator::compute_lower_bound)
+    /// per candidate, with the same errors.
+    ///
+    /// This is [`BatchEvaluator::estimate_many`]'s kernel under a term
+    /// mask: the compute loop runs with stage imbalance masked to `1.0`
+    /// and the communication block keeps only the two tensor-parallel
+    /// terms; the bubble and every other communication term are dropped.
+    /// Each masked term is non-negative and enters the estimate through a
+    /// monotone float operation, so a bound never exceeds the estimate of
+    /// the same candidate, exactly in f64.
+    ///
+    /// Errors land per slot as in `estimate_many`.
+    pub fn lower_bounds(
+        &self,
+        cache: &mut EstimateCache,
+        mappings: &[Parallelism],
+        training: &TrainingConfig,
+    ) -> Vec<Result<Seconds>> {
+        let n = mappings.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        if let Err(e) = self.validate_shared() {
+            return mappings.iter().map(|_| Err(e.clone())).collect();
+        }
+
+        let global_batch = training.global_batch();
+        let h = self.hoist(cache, global_batch);
+        let PerCandidate {
+            mut errs,
+            workers,
+            replica_batch,
+            c_mac,
+            ..
+        } = self.per_candidate(mappings, global_batch);
+        let sums = compute_sums(&h, &c_mac, &vec![1.0; n], &workers);
+
+        let num_batches = training.num_batches() as f64;
+        (0..n)
+            .map(|j| {
+                if let Some(e) = errs[j].take() {
+                    return Err(e);
+                }
+                let t = self.comm_terms(
+                    cache,
+                    &mappings[j],
+                    replica_batch[j],
+                    &h.groups,
+                    CommMask::TensorParallel,
+                );
+                // Same association as Breakdown::compute_total(), the head
+                // of Breakdown::comm_total()'s left fold, and Eq. 1's batch
+                // multiplication.
+                let compute = sums.forward[j] + sums.backward[j] + sums.weight_update[j];
+                let per_iteration = compute + (t.tp_comm_intra + t.tp_comm_inter);
+                Ok(Seconds::new(per_iteration * num_batches))
+            })
+            .collect()
+    }
+
+    /// Validate the inputs every candidate shares, in the scalar path's
+    /// order.
+    fn validate_shared(&self) -> Result<()> {
+        self.precision.validate()?;
+        self.efficiency.validate()?;
+        self.options.validate()
+    }
+
+    /// The batch-invariant half of the kernel: layer-kind groups, precision
+    /// scales and the constant left factors of the per-kind compute terms.
+    /// Each product is a prefix of the scalar expression's left-associated
+    /// chain, so completing it per candidate reproduces the scalar result
+    /// bit-for-bit.
+    fn hoist(&self, cache: &mut EstimateCache, global_batch: usize) -> Hoisted {
+        let (model, accel) = (self.model, self.accel);
+        let opts = self.options;
+        let c_nonlin = accel.c_nonlin();
+        let mac_scale = accel.mac_precision_scale(self.precision.mac_operand_bits());
+        let param_scale = accel.mac_precision_scale(self.precision.param_bits);
+        let nonlin_scale = accel.nonlin_precision_scale(self.precision.nonlin_bits);
+        let bwd_c = opts.backward_compute_factor + if opts.activation_recompute { 1.0 } else { 0.0 };
+
+        let groups = cache.groups(model);
+        let kind_terms = groups
+            .iter()
+            .map(|&(kind, count)| {
+                let cg = cache.layer_counts(model, kind, global_batch as f64);
+                KindTerms {
+                    macs_fwd: cg.macs_fwd,
+                    bwd_macs: bwd_c * cg.macs_fwd,
+                    nl_f: cg.nonlin_fwd * c_nonlin * nonlin_scale,
+                    nl_b: opts.backward_nonlin_factor * cg.nonlin_fwd * c_nonlin * nonlin_scale,
+                    ww: opts.weight_update_factor * cg.weights,
+                    count: count as f64,
+                }
+            })
+            .collect();
+        Hoisted {
+            groups,
+            kind_terms,
+            c_nonlin,
+            mac_scale,
+            param_scale,
+            nonlin_scale,
+        }
+    }
+
+    /// Validate every candidate against the system and model and derive its
+    /// microbatch split, efficiency and MAC cost.
+    fn per_candidate(&self, mappings: &[Parallelism], global_batch: usize) -> PerCandidate {
+        let n = mappings.len();
+        let mut c = PerCandidate {
+            errs: (0..n).map(|_| None).collect(),
+            workers: vec![1.0; n],
+            n_ub: vec![1; n],
+            ub: vec![0.0; n],
+            eff: vec![0.0; n],
+            replica_batch: vec![0.0; n],
+            c_mac: vec![0.0; n],
+        };
+        for (j, p) in mappings.iter().enumerate() {
+            if let Err(e) = p.validate_against(self.system, self.model) {
+                c.errs[j] = Some(e);
+                continue;
+            }
+            c.workers[j] = p.total_workers() as f64;
+            c.n_ub[j] = p.num_microbatches(global_batch);
+            c.ub[j] = p.microbatch_size(global_batch);
+            c.eff[j] = self.efficiency.eval(c.ub[j]);
+            c.replica_batch[j] = p.replica_batch(global_batch);
+            c.c_mac[j] = self.accel.c_mac(c.eff[j]);
+        }
+        c
+    }
+
     /// One candidate's communication terms — a verbatim transcription of
     /// `estimate_cached`'s communication section (same expressions, same
-    /// guards, same group order, same cache accessors).
+    /// guards, same group order, same cache accessors). Under
+    /// [`CommMask::TensorParallel`] only the two TP terms are evaluated,
+    /// with the guards of `compute_lower_bound`'s TP floor.
     fn comm_terms(
         &self,
         cache: &mut EstimateCache,
         p: &Parallelism,
         replica_batch: f64,
-        groups: &[(crate::model::LayerKind, usize)],
+        groups: &[(LayerKind, usize)],
+        mask: CommMask,
     ) -> CommTerms {
         let (model, system) = (self.model, self.system);
         let opts = self.options;
         let mut out = CommTerms::default();
+        let tp_only = mask == CommMask::TensorParallel;
+        if tp_only && p.tp_intra() == 1 && p.tp_inter() == 1 {
+            return out;
+        }
 
         let zero_factor = 1.0 + p.zero().comm_overhead;
         let comm_passes = zero_factor * (1.0 + opts.backward_comm_factor);
@@ -431,7 +594,7 @@ impl<'a> BatchEvaluator<'a> {
                 out.fwd_comm_for_bubble +=
                     zero_factor * (1.0 + opts.backward_comm_factor) * stage_share * t * n;
             }
-            if cr.act_elems_moe > 0.0 && system.num_nodes() >= 1 {
+            if !tp_only && cr.act_elems_moe > 0.0 && system.num_nodes() >= 1 {
                 let nodes = system.num_nodes() as f64;
                 let cost =
                     cache.collective(inter.topology, Collective::AllToAll, system.num_nodes());
@@ -450,6 +613,10 @@ impl<'a> BatchEvaluator<'a> {
                 out.fwd_comm_for_bubble +=
                     zero_factor * (1.0 + opts.backward_comm_factor) * stage_share * t * n;
             }
+        }
+
+        if tp_only {
+            return out;
         }
 
         if p.pp() > 1 {
@@ -747,6 +914,64 @@ mod tests {
             format!("{}", out[1].as_ref().unwrap_err()),
             format!("{}", scalar.unwrap_err())
         );
+    }
+
+    #[test]
+    fn lower_bounds_match_the_scalar_bound_bitwise() {
+        let a = accel();
+        let sys = system(4, 8);
+        let training = TrainingConfig::new(512, 7).unwrap();
+        let effm = EfficiencyModel::saturating(0.9, 4.0, 0.1, 0.9);
+        let bad = Parallelism::builder().tp(4, 1).build().unwrap(); // 4 != 32
+        for (m, opts) in [
+            (dense_model(), EngineOptions::default()),
+            (
+                moe_model(),
+                EngineOptions {
+                    stage_imbalance_correction: true,
+                    activation_recompute: true,
+                    ..Default::default()
+                },
+            ),
+        ] {
+            let mut mappings = mappings_with_variants(512);
+            mappings.insert(3, bad);
+            let batch = BatchEvaluator::new(&m, &a, &sys)
+                .with_efficiency(effm.clone())
+                .with_options(opts);
+            let mut batch_cache = EstimateCache::new();
+            let bounds = batch.lower_bounds(&mut batch_cache, &mappings, &training);
+            let estimates = batch.estimate_many(&mut batch_cache, &mappings, &training);
+            let mut scalar_cache = EstimateCache::new();
+            for ((p, lb), est) in mappings.iter().zip(&bounds).zip(&estimates) {
+                let scalar = Estimator::new(&m, &a, &sys, p)
+                    .with_efficiency(effm.clone())
+                    .with_options(opts)
+                    .compute_lower_bound(&mut scalar_cache, &training);
+                match (scalar, lb) {
+                    (Ok(s), Ok(b)) => {
+                        assert_eq!(s.get().to_bits(), b.get().to_bits(), "bound for {p:?}");
+                        let total = est.as_ref().unwrap().total_time.get();
+                        assert!(b.get() <= total, "bound above the estimate for {p:?}");
+                    }
+                    (Err(s), Err(b)) => assert_eq!(s.to_string(), b.to_string()),
+                    (s, b) => panic!("outcome mismatch for {p:?}: scalar {s:?} vs batch {b:?}"),
+                }
+            }
+        }
+        // A shared-input error fills every slot with the scalar error.
+        let m = dense_model();
+        let bad_eff =
+            BatchEvaluator::new(&m, &a, &sys).with_efficiency(EfficiencyModel::Constant(0.0));
+        let p = mappings_with_variants(512)[0];
+        let out = bad_eff.lower_bounds(&mut EstimateCache::new(), &[p, p], &training);
+        let scalar = Estimator::new(&m, &a, &sys, &p)
+            .with_efficiency(EfficiencyModel::Constant(0.0))
+            .compute_lower_bound(&mut EstimateCache::new(), &training)
+            .unwrap_err();
+        for slot in &out {
+            assert_eq!(slot.as_ref().unwrap_err().to_string(), scalar.to_string());
+        }
     }
 
     #[test]

@@ -41,6 +41,10 @@ pub use kv::{KvCacheModel, KvCapacityFailure, KvFootprint, ServeBatchFit};
 use amped_core::{Parallelism, Precision, TransformerModel, ZeroStage};
 use serde::{Deserialize, Serialize};
 
+/// Bytes of state per parameter of mixed-precision Adam, the default
+/// optimizer.
+const ADAM_MIXED_STATE_BYTES: f64 = 12.0;
+
 /// Optimizer state size per parameter, in bytes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OptimizerSpec {
@@ -61,7 +65,7 @@ impl OptimizerSpec {
     /// Mixed-precision Adam: fp32 master weights + first and second moments
     /// = 12 bytes of state per parameter.
     pub fn adam_mixed_precision() -> Self {
-        Self::new("adam-mixed", 12.0)
+        Self::new("adam-mixed", ADAM_MIXED_STATE_BYTES)
     }
 
     /// Plain SGD with momentum: one fp32 buffer.
@@ -233,10 +237,12 @@ pub struct MemoryModel<'a> {
     model: &'a TransformerModel,
     parallelism: &'a Parallelism,
     // `TransformerModel::total_parameters` walks the layer stack; the
-    // footprint needs it on every call, so it is computed once here.
+    // footprint needs it on every call, so it is computed once here (or
+    // once by the caller, see `with_parameter_count`).
     total_params: f64,
     precision: Precision,
-    optimizer: OptimizerSpec,
+    // The only optimizer property the footprint reads.
+    optimizer_state_bytes_per_param: f64,
     schedule: PipelineSchedule,
     recompute: RecomputePolicy,
 }
@@ -245,12 +251,29 @@ impl<'a> MemoryModel<'a> {
     /// A memory model for `model` under `parallelism`, with default fp16
     /// precision, mixed-precision Adam and the 1F1B schedule.
     pub fn new(model: &'a TransformerModel, parallelism: &'a Parallelism) -> Self {
+        Self::with_parameter_count(model, parallelism, model.total_parameters())
+    }
+
+    /// [`MemoryModel::new`] with the model's parameter count supplied by the
+    /// caller; `total_params` must be `model.total_parameters()`. A caller
+    /// that builds one memory model per candidate mapping computes the count
+    /// once instead of walking the layer stack for every mapping.
+    pub fn with_parameter_count(
+        model: &'a TransformerModel,
+        parallelism: &'a Parallelism,
+        total_params: f64,
+    ) -> Self {
+        debug_assert_eq!(
+            total_params.to_bits(),
+            model.total_parameters().to_bits(),
+            "total_params must be the model's own parameter count"
+        );
         MemoryModel {
             model,
             parallelism,
-            total_params: model.total_parameters(),
+            total_params,
             precision: Precision::default(),
-            optimizer: OptimizerSpec::default(),
+            optimizer_state_bytes_per_param: ADAM_MIXED_STATE_BYTES,
             schedule: PipelineSchedule::default(),
             recompute: RecomputePolicy::None,
         }
@@ -262,9 +285,11 @@ impl<'a> MemoryModel<'a> {
         self
     }
 
-    /// Override the optimizer.
-    pub fn with_optimizer(mut self, optimizer: OptimizerSpec) -> Self {
-        self.optimizer = optimizer;
+    /// Override the optimizer. Takes the spec by value or by reference; only
+    /// its per-parameter state size is kept, so a borrowed spec is never
+    /// cloned.
+    pub fn with_optimizer(mut self, optimizer: impl std::borrow::Borrow<OptimizerSpec>) -> Self {
+        self.optimizer_state_bytes_per_param = optimizer.borrow().state_bytes_per_param;
         self
     }
 
@@ -346,7 +371,7 @@ impl<'a> MemoryModel<'a> {
             ZeroStage::None => params_unsharded,
             _ => params_unsharded / dp,
         };
-        let optimizer = opt_params * self.optimizer.state_bytes_per_param;
+        let optimizer = opt_params * self.optimizer_state_bytes_per_param;
 
         let layers_per_stage =
             (self.model.num_layers() as f64 / p.pp() as f64).ceil().max(1.0);

@@ -317,6 +317,29 @@ fn candidate_order(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
         .then_with(|| parallelism_key(&a.parallelism).cmp(&parallelism_key(&b.parallelism)))
 }
 
+/// The ranking of a pass's kept candidates: those whose lower bound does
+/// not exceed `best_time`, in [`candidate_order`]. Sorts small
+/// `(objective, parallelism key, index)` keys and then moves each retained
+/// candidate out of its box once, instead of sorting the candidates
+/// themselves. The keys order exactly as `candidate_order` does, which is a
+/// total order, so the index never decides.
+fn rank(kept: Vec<(f64, Box<Candidate>)>, best_time: f64) -> Vec<Candidate> {
+    let mut keys: Vec<(f64, [usize; 6], usize)> = kept
+        .iter()
+        .enumerate()
+        .filter(|(_, (lb, _))| *lb <= best_time)
+        .map(|(i, (_, c))| (c.objective_time(), parallelism_key(&c.parallelism), i))
+        .collect();
+    keys.sort_unstable_by(|a, b| {
+        a.0.total_cmp(&b.0)
+            .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
+    });
+    let mut slots: Vec<Option<Box<Candidate>>> = kept.into_iter().map(|(_, c)| Some(c)).collect();
+    keys.iter()
+        .map(|&(_, _, i)| *slots[i].take().expect("each kept index is ranked once"))
+        .collect()
+}
+
 /// Order within a simulator-refined block: refined candidates first by
 /// their simulated time (ties by parallelism degrees — a total order, so
 /// the refined ranking is reproducible at any worker count); candidates
@@ -422,6 +445,9 @@ pub struct SearchEngine<'a> {
     enumeration: EnumerationOptions,
     power: PowerModel,
     optimizer: OptimizerSpec,
+    // `model.total_parameters()`, computed once per engine for the memory
+    // model of every mapping (see `memory_model`).
+    total_params: f64,
     schedule: PipelineSchedule,
     require_memory_fit: bool,
     tune_microbatches: bool,
@@ -484,6 +510,7 @@ impl<'a> SearchEngine<'a> {
             enumeration: EnumerationOptions::default(),
             power: PowerModel::from_accelerator(accel),
             optimizer: OptimizerSpec::default(),
+            total_params: model.total_parameters(),
             schedule: PipelineSchedule::default(),
             require_memory_fit: false,
             tune_microbatches: true,
@@ -607,6 +634,8 @@ impl<'a> SearchEngine<'a> {
     /// (`search.enumerate` / `search.explore` / `search.rank` /
     /// `search.refine`), candidate counters
     /// (`search.candidates.{generated,pruned,evaluated,memory_rejected,kept}`),
+    /// the branch-and-bound lower bounds priced (`search.bound.evaluated`:
+    /// one per mapping with pruning on, none with it off),
     /// memoization cache traffic (`search.cache.{hits,misses,lookups}`),
     /// per-candidate `prune`/`evaluate`/`refine` spans on one trace track
     /// per worker thread, and — through the simulator-refinement backend —
@@ -768,7 +797,7 @@ impl<'a> SearchEngine<'a> {
             enumerate_mappings(self.system, self.model, &self.enumeration)
         };
         let best_bits = AtomicU64::new(f64::INFINITY.to_bits());
-        let outcomes = {
+        let (outcomes, bounds) = {
             let _phase = self.observer.as_ref().map(|o| o.phase("search.explore"));
             self.explore_all(&mappings, training, &best_bits)
         };
@@ -777,7 +806,7 @@ impl<'a> SearchEngine<'a> {
             generated: mappings.len() as u64,
             ..SearchStats::default()
         };
-        let mut kept: Vec<(f64, Candidate)> = Vec::new();
+        let mut kept: Vec<(f64, Box<Candidate>)> = Vec::new();
         for outcome in outcomes {
             match outcome? {
                 Outcome::Pruned => stats.pruned += 1,
@@ -785,7 +814,7 @@ impl<'a> SearchEngine<'a> {
                 Outcome::Kept {
                     lower_bound,
                     candidate,
-                } => kept.push((lower_bound, *candidate)),
+                } => kept.push((lower_bound, candidate)),
             }
         }
         stats.kept = kept.len() as u64;
@@ -801,20 +830,18 @@ impl<'a> SearchEngine<'a> {
             obs.add("search.candidates.memory_rejected", n_filtered);
             obs.add("search.candidates.kept", kept.len() as u64);
             obs.add("search.candidates.evaluated", n_filtered + kept.len() as u64);
+            obs.add("search.bound.evaluated", bounds);
         }
-        if self.prune {
-            // Which candidates get skipped at runtime depends on thread
-            // timing; retaining exactly {lower_bound <= best total} does
-            // not (every runtime-skipped candidate had a bound above the
-            // incumbent, which never drops below the final best).
-            let best_time = kept
-                .iter()
-                .map(|(_, c)| c.objective_time())
-                .fold(f64::INFINITY, f64::min);
-            kept.retain(|(lb, _)| *lb <= best_time);
-        }
-        let mut out: Vec<Candidate> = kept.into_iter().map(|(_, c)| c).collect();
-        out.sort_by(candidate_order);
+        // Which candidates get skipped at runtime depends on thread timing;
+        // retaining exactly {lower_bound <= best total} does not (every
+        // runtime-skipped candidate had a bound above the incumbent, which
+        // never drops below the final best). Without pruning every bound
+        // is -inf and everything is retained.
+        let best_time = kept
+            .iter()
+            .map(|(_, c)| c.objective_time())
+            .fold(f64::INFINITY, f64::min);
+        let mut out = rank(kept, best_time);
         drop(_rank_phase);
         if self.refine_sim > 0 {
             let _phase = self.observer.as_ref().map(|o| o.phase("search.refine"));
@@ -878,20 +905,24 @@ impl<'a> SearchEngine<'a> {
     }
 
     /// Explore every mapping over the worker pool, returning outcomes in
-    /// mapping order: chunked through the batch evaluator when batching is
-    /// active, the scalar per-candidate path otherwise. Both paths produce
-    /// bit-identical outcomes (pinned by differential tests); the chunk
-    /// size only shapes wall-clock.
+    /// mapping order and the number of lower bounds priced: chunked through
+    /// the batch evaluator when batching is active, the scalar
+    /// per-candidate path otherwise. Both paths produce bit-identical
+    /// outcomes (pinned by differential tests); the chunk size only shapes
+    /// wall-clock.
     fn explore_all(
         &self,
         mappings: &[Parallelism],
         training: &TrainingConfig,
         best_bits: &AtomicU64,
-    ) -> Vec<Result<Outcome>> {
+    ) -> (Vec<Result<Outcome>>, u64) {
         if !self.batching_active() {
-            return self.run_parallel(mappings.len(), |cache, i| {
+            let outcomes = self.run_parallel(mappings.len(), |cache, i| {
                 self.explore(cache, &mappings[i], training, best_bits)
             });
+            // `explore` prices exactly one bound per mapping when pruning.
+            let bounds = if self.prune { mappings.len() as u64 } else { 0 };
+            return (outcomes, bounds);
         }
         // Small enough chunks keep the pool load-balanced (several chunks
         // per worker), large enough ones amortize the batch setup. The
@@ -905,10 +936,14 @@ impl<'a> SearchEngine<'a> {
             let end = (start + chunk).min(mappings.len());
             Ok(self.explore_chunk(cache, &mappings[start..end], training, best_bits))
         });
-        chunks
-            .into_iter()
-            .flat_map(|c| c.expect("chunk exploration itself is infallible"))
-            .collect()
+        let mut outcomes = Vec::with_capacity(mappings.len());
+        let mut bounds = 0u64;
+        for c in chunks {
+            let (chunk_outcomes, chunk_bounds) = c.expect("chunk exploration itself is infallible");
+            outcomes.extend(chunk_outcomes);
+            bounds += chunk_bounds;
+        }
+        (outcomes, bounds)
     }
 
     /// Lower-bound, prune, evaluate and score one mapping against the
@@ -922,7 +957,10 @@ impl<'a> SearchEngine<'a> {
     ) -> Result<Outcome> {
         let lower_bound = if self.prune {
             let _span = self.observer.as_ref().map(|o| o.span("prune"));
-            let lb = self.candidate_lower_bound(cache, p, training)?;
+            let lb = self
+                .lower_bounds(cache, std::slice::from_ref(p), training)
+                .pop()
+                .expect("one bound per mapping")?;
             // Total times are non-negative finite, for which the f64 bit
             // pattern orders like the value — so the incumbent can live in
             // an AtomicU64 and be tightened with fetch_min.
@@ -947,36 +985,46 @@ impl<'a> SearchEngine<'a> {
     }
 
     /// Explore a contiguous run of mappings through one
-    /// [`BatchEvaluator::estimate_many`] call: prune per mapping against
-    /// the incumbent, then price every surviving mapping's microbatch
-    /// variants in a single batch and fold each mapping's variants exactly
-    /// as the scalar path does.
+    /// [`BatchEvaluator::lower_bounds`] and one
+    /// [`BatchEvaluator::estimate_many`] call: price every mapping's bound,
+    /// prune per mapping against the incumbent, then price every surviving
+    /// mapping's microbatch variants in a single batch and fold each
+    /// mapping's variants exactly as the scalar path does. Returns the
+    /// outcomes and the number of bounds priced.
+    ///
+    /// Pricing the chunk's bounds up front changes no prune decision: this
+    /// worker tightens the incumbent only after its `estimate_many`.
     fn explore_chunk(
         &self,
         cache: &mut EstimateCache,
         chunk: &[Parallelism],
         training: &TrainingConfig,
         best_bits: &AtomicU64,
-    ) -> Vec<Result<Outcome>> {
+    ) -> (Vec<Result<Outcome>>, u64) {
         let mut out: Vec<Option<Result<Outcome>>> = (0..chunk.len()).map(|_| None).collect();
         let mut lower_bounds = vec![f64::NEG_INFINITY; chunk.len()];
         let mut spans = vec![(0usize, 0usize); chunk.len()];
         let mut plans: Vec<Option<(MemoryModel<'_>, Option<SolveOutcome>)>> =
             (0..chunk.len()).map(|_| None).collect();
         let mut batched: Vec<Parallelism> = Vec::new();
+        let bounds = if self.prune {
+            let _span = self.observer.as_ref().map(|o| o.span("prune"));
+            self.lower_bounds(cache, chunk, training)
+        } else {
+            Vec::new()
+        };
         for (i, p) in chunk.iter().enumerate() {
-            if self.prune {
-                let _span = self.observer.as_ref().map(|o| o.span("prune"));
-                match self.candidate_lower_bound(cache, p, training) {
+            if let Some(bound) = bounds.get(i) {
+                match bound {
                     Err(e) => {
-                        out[i] = Some(Err(e));
+                        out[i] = Some(Err(e.clone()));
                         continue;
                     }
-                    Ok(lb) if lb > f64::from_bits(best_bits.load(Ordering::Relaxed)) => {
+                    Ok(lb) if *lb > f64::from_bits(best_bits.load(Ordering::Relaxed)) => {
                         out[i] = Some(Ok(Outcome::Pruned));
                         continue;
                     }
-                    Ok(lb) => lower_bounds[i] = lb,
+                    Ok(lb) => lower_bounds[i] = *lb,
                 }
             }
             let mem_model = self.memory_model(p);
@@ -1014,9 +1062,11 @@ impl<'a> SearchEngine<'a> {
                 });
             out[i] = Some(outcome);
         }
-        out.into_iter()
+        let outcomes = out
+            .into_iter()
             .map(|o| o.expect("every chunk slot is scored"))
-            .collect()
+            .collect();
+        (outcomes, bounds.len() as u64)
     }
 
     /// This engine's configuration as a [`BatchEvaluator`].
@@ -1125,42 +1175,74 @@ impl<'a> SearchEngine<'a> {
         }
     }
 
-    /// The microbatch variants `evaluate` tries for one mapping: every
-    /// power-of-two microbatch size up to the replica batch when tuning is
-    /// on, the mapping's own policy otherwise.
-    fn microbatch_variants(&self, p: &Parallelism, training: &TrainingConfig) -> Vec<Parallelism> {
-        if !self.tune_microbatches {
-            return vec![*p];
-        }
-        let replica = (training.global_batch() / p.dp()).max(1);
-        let mut variants = Vec::new();
-        let mut ub = 1usize;
-        while ub <= replica {
-            variants.push(p.with_microbatches(MicrobatchPolicy::Explicit(replica.div_ceil(ub))));
-            ub *= 2;
-        }
-        variants
-    }
-
-    /// The cheapest possible total time of any microbatch variant of `p`:
-    /// the minimum of the per-variant compute-only lower bounds (cheap —
-    /// O(layer kinds) per variant against the shared cache).
-    fn candidate_lower_bound(
+    /// Append the microbatch variants the search tries for one mapping to
+    /// `out`, in ladder order: every power-of-two microbatch size up to the
+    /// replica batch when tuning is on, the mapping's own policy otherwise.
+    fn push_microbatch_variants(
         &self,
-        cache: &mut EstimateCache,
         p: &Parallelism,
         training: &TrainingConfig,
-    ) -> Result<f64> {
-        let mut lb = f64::INFINITY;
-        for variant in self.microbatch_variants(p, training) {
-            let bound = Estimator::new(self.model, self.accel, self.system, &variant)
-                .with_precision(self.precision)
-                .with_efficiency(self.efficiency.clone())
-                .with_options(self.engine_options)
-                .compute_lower_bound(cache, training)?;
-            lb = lb.min(bound.get());
+        out: &mut Vec<Parallelism>,
+    ) {
+        if !self.tune_microbatches {
+            out.push(*p);
+            return;
         }
-        Ok(lb)
+        let replica = (training.global_batch() / p.dp()).max(1);
+        let mut ub = 1usize;
+        while ub <= replica {
+            out.push(p.with_microbatches(MicrobatchPolicy::Explicit(replica.div_ceil(ub))));
+            ub *= 2;
+        }
+    }
+
+    /// The branch-and-bound lower bound of each mapping, in seconds: the
+    /// cheapest possible total time of any microbatch variant the search
+    /// would try (the whole tuning ladder, or the mapping's own policy with
+    /// tuning off), i.e. the minimum over those variants of
+    /// [`Estimator::compute_lower_bound`], bitwise. Priced in one
+    /// [`BatchEvaluator::lower_bounds`] call at one rung per mapping; this
+    /// is the bound every pruned search compares with its incumbent.
+    /// `cache` must be bound to this engine's scenario (see
+    /// [`EstimateCache`]).
+    ///
+    /// The bound depends on the microbatch variant only through
+    /// `c_mac = 1/(peak · eff(ub))`, and every bound term is a monotone
+    /// non-decreasing f64 function of `c_mac` (products with non-negative
+    /// factors, division by positive worker counts, sums of non-negative
+    /// terms). So the rung with the highest efficiency has the lowest
+    /// `c_mac` and attains the minimum over the ladder exactly in f64;
+    /// every rung shares the mapping's errors, which never depend on the
+    /// microbatch policy.
+    pub fn lower_bounds(
+        &self,
+        cache: &mut EstimateCache,
+        mappings: &[Parallelism],
+        training: &TrainingConfig,
+    ) -> Vec<Result<f64>> {
+        let global_batch = training.global_batch();
+        let eff = |v: &Parallelism| self.efficiency.eval(v.microbatch_size(global_batch));
+        let mut ladder = Vec::new();
+        let rungs: Vec<Parallelism> = mappings
+            .iter()
+            .map(|p| {
+                ladder.clear();
+                self.push_microbatch_variants(p, training, &mut ladder);
+                let mut best = (eff(&ladder[0]), ladder[0]);
+                for v in &ladder[1..] {
+                    let e = eff(v);
+                    if e > best.0 {
+                        best = (e, *v);
+                    }
+                }
+                best.1
+            })
+            .collect();
+        self.batch_evaluator()
+            .lower_bounds(cache, &rungs, training)
+            .into_iter()
+            .map(|lb| lb.map(|s| s.get()))
+            .collect()
     }
 
     /// Evaluate one mapping: with tuning on, try every power-of-two
@@ -1181,7 +1263,9 @@ impl<'a> SearchEngine<'a> {
         let use_cache = self.memoize || self.prune;
         let mut best: Option<Candidate> = None;
         let mut first_failure: Option<CapacityFailure> = None;
-        for variant in self.microbatch_variants(p, training) {
+        let mut variants = Vec::new();
+        self.push_microbatch_variants(p, training, &mut variants);
+        for variant in variants {
             let estimator = Estimator::new(self.model, self.accel, self.system, &variant)
                 .with_precision(self.precision)
                 .with_efficiency(self.efficiency.clone())
@@ -1191,11 +1275,7 @@ impl<'a> SearchEngine<'a> {
             } else {
                 estimator.estimate(training)?
             };
-            let mem_model = MemoryModel::new(self.model, &variant)
-                .with_precision(self.precision)
-                .with_optimizer(self.optimizer.clone())
-                .with_schedule(self.schedule)
-                .with_activation_recompute(self.engine_options.activation_recompute);
+            let mem_model = self.memory_model(&variant);
             let memory = mem_model.footprint(estimate.microbatch_size, estimate.num_microbatches);
             let fits_memory = memory.total() <= self.accel.memory_bytes();
             if self.require_memory_fit && !fits_memory {
@@ -1269,11 +1349,12 @@ impl<'a> SearchEngine<'a> {
     }
 
     /// This mapping's per-device memory model under the engine's
-    /// precision, optimizer, schedule and recompute policy.
+    /// precision, optimizer, schedule and recompute policy, reusing the
+    /// engine's parameter count and borrowing its optimizer.
     fn memory_model<'m>(&'m self, p: &'m Parallelism) -> MemoryModel<'m> {
-        MemoryModel::new(self.model, p)
+        MemoryModel::with_parameter_count(self.model, p, self.total_params)
             .with_precision(self.precision)
-            .with_optimizer(self.optimizer.clone())
+            .with_optimizer(&self.optimizer)
             .with_schedule(self.schedule)
             .with_activation_recompute(self.engine_options.activation_recompute)
     }
@@ -1315,19 +1396,14 @@ impl<'a> SearchEngine<'a> {
             p.replica_batch(training.global_batch()),
             self.accel.memory_bytes(),
         );
-        let limit = match &solved {
-            Ok(fit) => Some(fit.ladder_index as usize),
-            Err(_) if self.require_memory_fit => Some(0),
-            Err(_) => None,
-        };
-        let mut len = 0usize;
-        let mut ub = 1usize;
-        while ub <= replica && limit.is_none_or(|l| len <= l) {
-            out.push(p.with_microbatches(MicrobatchPolicy::Explicit(replica.div_ceil(ub))));
-            len += 1;
-            ub *= 2;
+        let start = out.len();
+        self.push_microbatch_variants(p, training, out);
+        match &solved {
+            Ok(fit) => out.truncate(start + fit.ladder_index as usize + 1),
+            Err(_) if self.require_memory_fit => out.truncate(start + 1),
+            Err(_) => {}
         }
-        (len, Some(solved))
+        (out.len() - start, Some(solved))
     }
 
     /// Fold one mapping's already-priced microbatch variants into its
@@ -1551,6 +1627,13 @@ impl<'a> SearchEngine<'a> {
             obs.add("search.candidates.memory_rejected", counts[1]);
             obs.add("search.candidates.kept", counts[2]);
             obs.add("search.candidates.evaluated", counts[1] + counts[2]);
+            // `explore` prices exactly one bound per pruned-path mapping.
+            let bounds = if engine.prune {
+                trainings.len() * mappings.len()
+            } else {
+                0
+            };
+            obs.add("search.bound.evaluated", bounds as u64);
         }
         Ok(best.map(|(batch_idx, c)| (trainings[batch_idx].0, c)))
     }
@@ -2085,6 +2168,38 @@ mod tests {
             let report = obs.report("search");
             let phases: Vec<&str> = report.phases.iter().map(|(n, _)| n.as_str()).collect();
             assert_eq!(phases, ["search.enumerate", "search.explore", "search.rank"]);
+        }
+    }
+
+    #[test]
+    fn observed_search_prices_one_bound_per_mapping() {
+        let m = model();
+        let a = accel();
+        let sys = system(4, 8);
+        let training = TrainingConfig::new(512, 10).unwrap();
+        let base = SearchEngine::new(&m, &a, &sys)
+            .with_efficiency(EfficiencyModel::saturating(0.9, 4.0, 0.1, 0.9));
+        for (batch, jobs) in [(true, 1), (true, 2), (false, 1)] {
+            for prune in [true, false] {
+                let obs = Arc::new(Observer::new());
+                base.clone()
+                    .with_batching(batch)
+                    .with_parallelism(jobs)
+                    .with_pruning(prune)
+                    .with_observer(obs.clone())
+                    .search(&training)
+                    .unwrap();
+                let c = obs.counters();
+                let expect = if prune {
+                    c["search.candidates.generated"]
+                } else {
+                    0
+                };
+                assert_eq!(
+                    c["search.bound.evaluated"], expect,
+                    "batch={batch} jobs={jobs} prune={prune}: {c:?}"
+                );
+            }
         }
     }
 

@@ -70,6 +70,30 @@ cmp "$obs_dir/search_batched.json" "$obs_dir/search_scalar.json" \
     || { echo "batched smoke failed: --no-batch output differs"; exit 1; }
 echo "batched smoke ok: outputs byte-identical"
 
+echo "==> training prune smoke (pruned rows: same first row, ordered subsequence of the full ranking)"
+# Branch-and-bound pruning may only drop rows: at any worker count the
+# winner row is byte-identical to the unpruned run's, and the pruned rows
+# appear in the unpruned ranking in the same order.
+train_fixture=tests/fixtures/megatron-a100.json
+./target/release/amped search --json --top 100000 --jobs 1 \
+    --config "$train_fixture" > "$obs_dir/train_full.json"
+for jobs in 1 2; do
+    ./target/release/amped search --json --top 100000 --jobs "$jobs" --prune \
+        --config "$train_fixture" > "$obs_dir/train_pruned_j$jobs.json"
+done
+python3 - "$obs_dir" <<'EOF'
+import json, sys, pathlib
+d = pathlib.Path(sys.argv[1])
+full = [json.dumps(r) for r in json.loads((d / "train_full.json").read_text())["rows"]]
+for jobs in (1, 2):
+    pruned = [json.dumps(r) for r in json.loads((d / f"train_pruned_j{jobs}.json").read_text())["rows"]]
+    assert pruned and pruned[0] == full[0], f"jobs {jobs}: pruned winner row differs"
+    rest = iter(full)
+    assert all(row in rest for row in pruned), f"jobs {jobs}: pruned rows are not an ordered subsequence"
+    assert len(pruned) < len(full), f"jobs {jobs}: pruning dropped nothing on the fixture"
+    print(f"training prune smoke ok: jobs {jobs} kept {len(pruned)} of {len(full)} rows")
+EOF
+
 echo "==> serve smoke (daemon on an ephemeral port, one request per endpoint)"
 # Start the daemon on port 0, parse the listening line for the real port,
 # drive every endpoint through the raw-socket example client (no curl),
