@@ -1,11 +1,13 @@
 //! Criterion benches of the design-space exploration engine: enumeration
 //! and full ranked searches at two system sizes.
 //!
-//! `search/rank_all_16x8` exercises the default engine (memoized
-//! estimation, worker pool sized to the host); `search/rank_all_16x8_serial`
-//! pins the original single-thread, uncached path so the speedup of the
-//! optimised path stays measurable. `bench_search` records the larger
-//! plan-grid training grid, unpruned and pruned, into `BENCH_search.json`.
+//! `search/rank_all_16x8` exercises the default engine (batched, memoized
+//! pricing on a worker pool sized to the host);
+//! `search/rank_all_16x8_serial` runs the same engine on one worker so the
+//! pool's share of the speedup stays measurable, and
+//! `search/rank_all_16x8_pruned` adds branch-and-bound pruning.
+//! `bench_search` records the larger plan-grid training grid, unpruned and
+//! pruned, into `BENCH_search.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -39,10 +41,7 @@ fn bench_full_search(c: &mut Criterion) {
     c.bench_function("search/rank_all_16x8", |b| {
         b.iter(|| black_box(engine.search(black_box(&training)).expect("searches")).len())
     });
-    let serial = engine
-        .clone()
-        .with_memoization(false)
-        .with_parallelism(1);
+    let serial = engine.clone().with_parallelism(1);
     c.bench_function("search/rank_all_16x8_serial", |b| {
         b.iter(|| black_box(serial.search(black_box(&training)).expect("searches")).len())
     });

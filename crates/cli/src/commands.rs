@@ -92,9 +92,6 @@ parameters):
                               through the simulator             [default 0]
   --memory-filter             search only: drop candidates whose footprint
                               does not fit device memory
-  --no-batch                  search only: evaluate candidates one at a time
-                              instead of through the batched fast path
-                              (results are bit-identical either way)
 
 observability flags (estimate/sweep/search/simulate/resilience):
   --metrics-out FILE          write a JSON run report: per-phase timings,
@@ -766,7 +763,6 @@ fn search_train(args: &Args) -> Result<String> {
         .with_enumeration(EnumerationOptions::default())
         .with_parallelism(args.parse_or("jobs", 0)?)
         .with_pruning(args.switch("prune"))
-        .with_batching(!args.switch("no-batch"))
         .with_memory_filter(args.switch("memory-filter"))
         .with_refine_sim(args.parse_or("refine-sim", 0)?);
     if let Some(o) = obs.observer() {
@@ -1346,16 +1342,6 @@ mod tests {
         .unwrap();
         assert!(out.contains("yes"), "{out}");
         assert!(!out.contains("NO"), "filtered search must not list misfits: {out}");
-    }
-
-    #[test]
-    fn search_no_batch_is_byte_identical_to_the_batched_default() {
-        let base = "search --model mingpt-85m --accel v100 --nodes 2 --per-node 4 --batch 64 --top 5 --memory-filter --json";
-        let batched = run(base).unwrap();
-        let scalar = run(&format!("{base} --no-batch")).unwrap();
-        assert_eq!(batched, scalar);
-        let v: serde_json::Value = serde_json::from_str(&batched).unwrap();
-        assert!(v["memory_rejected"]["total"].as_u64().is_some(), "{batched}");
     }
 
     #[test]

@@ -204,10 +204,12 @@ pub trait CostBackend: Sync {
 
 /// The AMPeD analytical model (Eq. 1–12) as a [`CostBackend`].
 ///
-/// Evaluates through [`Estimator::estimate_cached`] with a private cache,
-/// which is bit-identical to evaluating with any warmed cache for the same
-/// scenario — so trait-based results match `amped-search`'s memoized
-/// per-worker path exactly.
+/// Evaluates through the memoized batch kernel
+/// ([`BatchEvaluator`](crate::BatchEvaluator), one candidate per
+/// [`CostBackend::evaluate`] call) with a private cache, which is
+/// bit-identical to evaluating with any warmed cache for the same scenario
+/// — so trait-based results match `amped-search`'s per-worker chunks
+/// exactly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalyticalBackend;
 

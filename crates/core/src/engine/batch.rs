@@ -1,10 +1,14 @@
-//! Batched, vectorized cost evaluation: many parallelism candidates priced
-//! in one pass, bit-identical to [`Estimator::estimate_cached`], and their
-//! branch-and-bound lower bounds, bit-identical to
-//! [`Estimator::compute_lower_bound`].
+//! The memoized Eq. 1 and the branch-and-bound lower bound, for many
+//! parallelism candidates in one vectorized pass. This is the only
+//! implementation of either: [`Estimator::estimate_cached`] and
+//! [`Estimator::compute_lower_bound`] are one-candidate calls of
+//! [`BatchEvaluator::estimate_many`] and [`BatchEvaluator::lower_bounds`].
 //!
-//! [`BatchEvaluator::estimate_many`] is the scalar memoized path unrolled
-//! across candidates:
+//! [`BatchEvaluator::estimate_many`] is [`Estimator::estimate`] with its
+//! per-layer loops collapsed to one iteration per *distinct layer kind*
+//! (weighted by multiplicity), scenario-invariant sub-results served from
+//! an [`EstimateCache`], and the per-candidate work unrolled across the
+//! batch:
 //!
 //! - **Invariant hoisting** — everything that does not depend on the
 //!   candidate (layer-kind groups, per-kind operation counts at the global
@@ -20,29 +24,32 @@
 //!   policy, so consecutive microbatch variants of one mapping share a
 //!   single evaluation of the communication block.
 //!
+//! The grouped sums agree with the literal per-layer `estimate` up to
+//! float associativity: `estimate` adds 80 identical layer terms one by
+//! one, the kernel multiplies one term by 80, so results can differ by a
+//! few ulps (pinned to 1e-9 relative by the tests below).
+//!
 //! [`BatchEvaluator::lower_bounds`] is the same kernel under a term mask:
 //! the compute loop runs with stage imbalance masked to `1.0`, and the
 //! communication block keeps only its two tensor-parallel terms. The mask
-//! drops or shrinks only non-negative terms, which is why the bound never
-//! exceeds the estimate exactly in f64.
+//! drops or shrinks only non-negative terms under monotone float
+//! operations, which is why the bound never exceeds the estimate exactly
+//! in f64 — what lets `amped-search` prune without ever discarding the
+//! true optimum.
 //!
-//! **Bit-identity contract**: every float operation happens with the same
-//! values, the same association and the same order per candidate as in
-//! `estimate_cached` — hoisting only moves *where* a product is computed,
-//! never *how* — and all memoized sub-results go through the same
-//! [`EstimateCache`] helpers, so a batch call fills the cache with exactly
-//! the entries the scalar loop would. Differential tests pin
-//! `estimate_many` against the scalar loop bitwise, cold and warm, and
-//! `lower_bounds` against `compute_lower_bound`.
+//! **Batch independence**: per candidate, every float operation happens
+//! with the same values, the same association and the same order whatever
+//! else the batch holds — hoisting only moves *where* a product is
+//! computed, never *how* — and all memoized sub-results go through the
+//! same [`EstimateCache`] accessors. So a batch of N is bit-identical to N
+//! one-candidate calls and fills the cache with the same entries; the
+//! tests pin this cold and warm.
 
 use amped_topo::Collective;
 
 use crate::accelerator::AcceleratorSpec;
 use crate::efficiency::EfficiencyModel;
-use crate::engine::cached::{grad_sync_volume, stage_imbalance_ratio};
-use crate::engine::{
-    Breakdown, EngineOptions, Estimate, EstimateCache, Scenario,
-};
+use crate::engine::{Breakdown, EngineOptions, Estimate, EstimateCache, Estimator, Scenario};
 use crate::error::{Error, Result};
 use crate::metrics;
 use crate::model::{LayerKind, TransformerModel};
@@ -66,8 +73,8 @@ struct CommTerms {
 }
 
 /// The candidate-invariant slice of one layer kind's compute terms: the
-/// constant left factors of `estimate_cached`'s `u_f`/`u_b`/`u_w` products,
-/// precomputed once per batch with the scalar path's own association.
+/// constant left factors of the `u_f`/`u_b`/`u_w` products, precomputed
+/// once per batch with the per-candidate expression's own association.
 struct KindTerms {
     macs_fwd: f64,
     bwd_macs: f64,
@@ -111,9 +118,9 @@ struct ComputeSums {
 }
 
 /// The compute loop, kind-outer and candidate-inner. Accumulation order
-/// per candidate matches the scalar loop (group order), and each
-/// expression completes the scalar association. With `imbalance` all
-/// `1.0` it is the lower bound's loop: `1.0 * u` is `u` exactly.
+/// per candidate is group order, and each expression completes the
+/// hoisted left factor's association. With `imbalance` all `1.0` it is
+/// the lower bound's loop: `1.0 * u` is `u` exactly.
 fn compute_sums(h: &Hoisted, c_mac: &[f64], imbalance: &[f64], workers: &[f64]) -> ComputeSums {
     let n = c_mac.len();
     let mut s = ComputeSums {
@@ -138,6 +145,83 @@ fn compute_sums(h: &Hoisted, c_mac: &[f64], imbalance: &[f64], workers: &[f64]) 
         }
     }
     s
+}
+
+/// The memoized stage-imbalance ratio `r = t*/t̄` for a `pp`-stage split of
+/// the layer stack at per-layer weights priced with the given accelerator
+/// constants. It depends only on `(pp, eff)` for a fixed scenario; the
+/// `n_ub`-dependent scaling is applied per candidate.
+#[allow(clippy::too_many_arguments)]
+fn stage_imbalance_ratio(
+    cache: &mut EstimateCache,
+    model: &TransformerModel,
+    pp: usize,
+    eff_bits: u64,
+    c_mac: f64,
+    mac_scale: f64,
+    c_nonlin: f64,
+    nonlin_scale: f64,
+) -> f64 {
+    if let Some(r) = cache.imbalance_ratio(pp, eff_bits) {
+        return r;
+    }
+    let stack = model.layer_stack();
+    let weights: Vec<f64> = stack
+        .iter()
+        .map(|&kind| {
+            let c = cache.layer_counts(model, kind, 1.0);
+            c.macs_fwd * c_mac * mac_scale + c.nonlin_fwd * c_nonlin * nonlin_scale
+        })
+        .collect();
+    let base = stack.len() / pp;
+    let extra = stack.len() % pp;
+    let mut cursor = 0;
+    let mut max_stage = 0.0f64;
+    let total: f64 = weights.iter().sum();
+    for s in 0..pp {
+        let take = base + usize::from(s < extra);
+        let stage: f64 = weights[cursor..cursor + take].iter().sum();
+        max_stage = max_stage.max(stage);
+        cursor += take;
+    }
+    let r = if total > 0.0 {
+        (max_stage * pp as f64 / total).max(1.0)
+    } else {
+        1.0
+    };
+    cache.set_imbalance_ratio(pp, eff_bits, r);
+    r
+}
+
+/// The memoized Eq. 10 per-accelerator gradient-sync volume for a
+/// `(tp, pp)` shard.
+fn grad_sync_volume(
+    cache: &mut EstimateCache,
+    model: &TransformerModel,
+    system: &SystemSpec,
+    groups: &[(LayerKind, usize)],
+    tp: usize,
+    pp: usize,
+) -> f64 {
+    if let Some(v) = cache.grad_volume(tp, pp) {
+        return v;
+    }
+    let expert_parallel = model
+        .moe()
+        .map(|cfg| cfg.num_experts.min(system.num_nodes()).max(1))
+        .unwrap_or(1) as f64;
+    let v: f64 = groups
+        .iter()
+        .map(|&(kind, count)| {
+            let cg = cache.layer_counts(model, kind, 1.0);
+            let dense_weights = cg.weights - cg.weights_expert;
+            (dense_weights + cg.weights_expert / expert_parallel)
+                / (tp as f64 * pp as f64)
+                * count as f64
+        })
+        .sum();
+    cache.set_grad_volume(tp, pp, v);
+    v
 }
 
 /// Which communication terms [`BatchEvaluator::comm_terms`] evaluates.
@@ -182,14 +266,14 @@ enum CommMask {
 ///     .with_efficiency(EfficiencyModel::Constant(0.5));
 /// let estimates = batch.estimate_many(&mut cache, &mappings, &training);
 ///
-/// // Bit-identical to the scalar loop over the same cache kind.
-/// let mut scalar_cache = EstimateCache::new();
+/// // Bit-identical to pricing the candidates one at a time.
+/// let mut one_cache = EstimateCache::new();
 /// for (p, batched) in mappings.iter().zip(&estimates) {
-///     let scalar = Estimator::new(&model, &accel, &system, p)
+///     let one = Estimator::new(&model, &accel, &system, p)
 ///         .with_efficiency(EfficiencyModel::Constant(0.5))
-///         .estimate_cached(&mut scalar_cache, &training)?;
+///         .estimate_cached(&mut one_cache, &training)?;
 ///     assert_eq!(
-///         scalar.total_time.get().to_bits(),
+///         one.total_time.get().to_bits(),
 ///         batched.as_ref().unwrap().total_time.get().to_bits(),
 ///     );
 /// }
@@ -237,6 +321,19 @@ impl<'a> BatchEvaluator<'a> {
         }
     }
 
+    /// A batch evaluator sharing an [`Estimator`]'s specifications (the
+    /// estimator's own parallelism is ignored: candidates supply theirs).
+    fn of(estimator: &Estimator<'a>) -> Self {
+        BatchEvaluator {
+            model: estimator.model(),
+            accel: estimator.accel(),
+            system: estimator.system(),
+            precision: estimator.precision(),
+            efficiency: estimator.efficiency().clone(),
+            options: estimator.options(),
+        }
+    }
+
     /// Override the operand precisions.
     pub fn with_precision(mut self, precision: Precision) -> Self {
         self.precision = precision;
@@ -256,10 +353,9 @@ impl<'a> BatchEvaluator<'a> {
     }
 
     /// Price every candidate mapping for `training`, returning one result
-    /// per input in order. Equivalent to calling
-    /// [`Estimator::estimate_cached`](crate::Estimator::estimate_cached)
-    /// per candidate against the same cache — bit-identical estimates,
-    /// same cache entries — at a fraction of the per-candidate cost.
+    /// per input in order: [`Estimator::estimate`] per candidate up to
+    /// float associativity, and bit-identical to pricing the candidates
+    /// one at a time against the same cache (same cache entries too).
     ///
     /// Per-candidate errors (an invalid mapping for the system/model) land
     /// in that candidate's slot; shared-input validation errors (bad
@@ -405,9 +501,9 @@ impl<'a> BatchEvaluator<'a> {
     }
 
     /// The branch-and-bound lower bound of every candidate mapping for
-    /// `training`, one result per input in order: equal bitwise to
-    /// [`Estimator::compute_lower_bound`](crate::Estimator::compute_lower_bound)
-    /// per candidate, with the same errors.
+    /// `training`, one result per input in order: forward + backward +
+    /// weight-update time at the candidate's own microbatch efficiency,
+    /// plus the tensor-parallel all-reduce floor.
     ///
     /// This is [`BatchEvaluator::estimate_many`]'s kernel under a term
     /// mask: the compute loop runs with stage imbalance masked to `1.0`
@@ -415,7 +511,9 @@ impl<'a> BatchEvaluator<'a> {
     /// terms; the bubble and every other communication term are dropped.
     /// Each masked term is non-negative and enters the estimate through a
     /// monotone float operation, so a bound never exceeds the estimate of
-    /// the same candidate, exactly in f64.
+    /// the same candidate, exactly in f64. The TP terms are invariant
+    /// across a mapping's microbatch variants, which is what lets
+    /// `amped-search` bound a whole family of splits at once.
     ///
     /// Errors land per slot as in `estimate_many`.
     pub fn lower_bounds(
@@ -466,8 +564,8 @@ impl<'a> BatchEvaluator<'a> {
             .collect()
     }
 
-    /// Validate the inputs every candidate shares, in the scalar path's
-    /// order.
+    /// Validate the inputs every candidate shares, in
+    /// [`Estimator::estimate`]'s order.
     fn validate_shared(&self) -> Result<()> {
         self.precision.validate()?;
         self.efficiency.validate()?;
@@ -476,9 +574,9 @@ impl<'a> BatchEvaluator<'a> {
 
     /// The batch-invariant half of the kernel: layer-kind groups, precision
     /// scales and the constant left factors of the per-kind compute terms.
-    /// Each product is a prefix of the scalar expression's left-associated
-    /// chain, so completing it per candidate reproduces the scalar result
-    /// bit-for-bit.
+    /// Each product is a prefix of the per-candidate expression's
+    /// left-associated chain, so completing it per candidate gives the same
+    /// bits as evaluating the whole chain there.
     fn hoist(&self, cache: &mut EstimateCache, global_batch: usize) -> Hoisted {
         let (model, accel) = (self.model, self.accel);
         let opts = self.options;
@@ -541,11 +639,14 @@ impl<'a> BatchEvaluator<'a> {
         c
     }
 
-    /// One candidate's communication terms — a verbatim transcription of
-    /// `estimate_cached`'s communication section (same expressions, same
-    /// guards, same group order, same cache accessors). Under
-    /// [`CommMask::TensorParallel`] only the two TP terms are evaluated,
-    /// with the guards of `compute_lower_bound`'s TP floor.
+    /// One candidate's communication terms, one iteration per layer kind.
+    /// Under [`CommMask::TensorParallel`] only the two TP terms are
+    /// evaluated.
+    ///
+    /// The collective costs are looked up once per candidate, not once
+    /// per layer kind. The MoE all-to-all lookup stays lazy (only when
+    /// some kind routes tokens), so dense scenarios touch no cache entry
+    /// they do not use.
     fn comm_terms(
         &self,
         cache: &mut EstimateCache,
@@ -562,6 +663,8 @@ impl<'a> BatchEvaluator<'a> {
             return out;
         }
 
+        // Every term passes forward and backward, inflated by ZeRO's
+        // collective overhead; each also joins the bubble's forward share.
         let zero_factor = 1.0 + p.zero().comm_overhead;
         let comm_passes = zero_factor * (1.0 + opts.backward_comm_factor);
         let intra = system.intra();
@@ -572,32 +675,36 @@ impl<'a> BatchEvaluator<'a> {
         let act_bits = self.precision.act_bits as f64;
         let stage_share = 1.0 / p.pp() as f64;
 
+        let tp_intra = (p.tp_intra() > 1)
+            .then(|| cache.collective(intra.topology, Collective::AllReduce, p.tp_intra()));
+        let tp_inter = (p.tp_inter() > 1)
+            .then(|| cache.collective(inter.topology, Collective::AllReduce, p.tp_inter()));
+        let mut all_to_all = None;
         for &(kind, count) in groups {
             let cr = cache.layer_counts(model, kind, replica_batch);
             let n = count as f64;
 
-            if p.tp_intra() > 1 {
-                let cost = cache.collective(intra.topology, Collective::AllReduce, p.tp_intra());
+            if let Some(cost) = tp_intra {
                 let t = cost.time(
                     cr.act_elems_tp * act_bits,
                     intra.latency_s,
                     intra.bandwidth_bits_per_sec,
                 );
-                out.tp_comm_intra += comm_passes * stage_share * t * n;
-                out.fwd_comm_for_bubble +=
-                    zero_factor * (1.0 + opts.backward_comm_factor) * stage_share * t * n;
+                let term = comm_passes * stage_share * t * n;
+                out.tp_comm_intra += term;
+                out.fwd_comm_for_bubble += term;
             }
-            if p.tp_inter() > 1 {
-                let cost = cache.collective(inter.topology, Collective::AllReduce, p.tp_inter());
+            if let Some(cost) = tp_inter {
                 let t = cost.time(cr.act_elems_tp * act_bits, inter.latency_s, inter_bw_tp_stream);
-                out.tp_comm_inter += comm_passes * stage_share * t * n;
-                out.fwd_comm_for_bubble +=
-                    zero_factor * (1.0 + opts.backward_comm_factor) * stage_share * t * n;
+                let term = comm_passes * stage_share * t * n;
+                out.tp_comm_inter += term;
+                out.fwd_comm_for_bubble += term;
             }
             if !tp_only && cr.act_elems_moe > 0.0 && system.num_nodes() >= 1 {
                 let nodes = system.num_nodes() as f64;
-                let cost =
-                    cache.collective(inter.topology, Collective::AllToAll, system.num_nodes());
+                let cost = *all_to_all.get_or_insert_with(|| {
+                    cache.collective(inter.topology, Collective::AllToAll, system.num_nodes())
+                });
                 let latency_term = 2.0 * inter.latency_s * cost.steps as f64;
                 let volume_bits = cr.act_elems_moe * act_bits / p.tp() as f64;
                 let bw_term = if nodes > 1.0 {
@@ -609,9 +716,9 @@ impl<'a> BatchEvaluator<'a> {
                     2.0 * volume_bits / intra.bandwidth_bits_per_sec
                 };
                 let t = latency_term + bw_term;
-                out.moe_comm += comm_passes * stage_share * t * n;
-                out.fwd_comm_for_bubble +=
-                    zero_factor * (1.0 + opts.backward_comm_factor) * stage_share * t * n;
+                let term = comm_passes * stage_share * t * n;
+                out.moe_comm += term;
+                out.fwd_comm_for_bubble += term;
             }
         }
 
@@ -634,7 +741,7 @@ impl<'a> BatchEvaluator<'a> {
             };
             let t = t_intra.max(t_inter);
             out.pp_comm = comm_passes * t;
-            out.fwd_comm_for_bubble += zero_factor * (1.0 + opts.backward_comm_factor) * t;
+            out.fwd_comm_for_bubble += out.pp_comm;
         }
 
         let grad_collective = if p.zero().stage >= ZeroStage::Gradients {
@@ -662,6 +769,54 @@ impl<'a> BatchEvaluator<'a> {
         }
 
         out
+    }
+}
+
+impl<'a> Estimator<'a> {
+    /// [`Estimator::estimate`] through the memoized kernel: a one-candidate
+    /// call of [`BatchEvaluator::estimate_many`] that serves
+    /// scenario-invariant sub-results from `cache` and does O(distinct
+    /// layer kinds) work instead of O(layers).
+    ///
+    /// Results agree with `estimate` up to float associativity (a few ulps
+    /// on a deep stack) and equal any batch's estimate of the same mapping
+    /// bitwise. The cache must respect the context-binding contract
+    /// described on [`EstimateCache`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Estimator::estimate`].
+    pub fn estimate_cached(
+        &self,
+        cache: &mut EstimateCache,
+        training: &TrainingConfig,
+    ) -> Result<Estimate> {
+        BatchEvaluator::of(self)
+            .estimate_many(cache, std::slice::from_ref(self.parallelism()), training)
+            .pop()
+            .expect("one estimate per candidate")
+    }
+
+    /// A lower bound on the total training time of this exact
+    /// configuration: a one-candidate call of
+    /// [`BatchEvaluator::lower_bounds`].
+    ///
+    /// Guaranteed `compute_lower_bound(..) <= estimate_cached(..).total_time`
+    /// **exactly in f64**, which is what makes branch-and-bound pruning in
+    /// `amped-search` lossless.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Estimator::estimate`].
+    pub fn compute_lower_bound(
+        &self,
+        cache: &mut EstimateCache,
+        training: &TrainingConfig,
+    ) -> Result<Seconds> {
+        BatchEvaluator::of(self)
+            .lower_bounds(cache, std::slice::from_ref(self.parallelism()), training)
+            .pop()
+            .expect("one bound per candidate")
     }
 }
 
@@ -750,19 +905,19 @@ mod tests {
 
     fn assert_bit_identical(
         batch: &BatchEvaluator<'_>,
-        scalar_of: impl Fn(&Parallelism, &mut EstimateCache) -> Result<Estimate>,
+        one_of: impl Fn(&Parallelism, &mut EstimateCache) -> Result<Estimate>,
         mappings: &[Parallelism],
         training: &TrainingConfig,
     ) {
-        // Cold shared cache for the batch, cold shared cache for the scalar
-        // loop: both paths must produce the same estimates AND the same
-        // cache behaviour.
+        // Cold shared cache for the batch, cold shared cache for the
+        // one-candidate loop: both must produce the same estimates AND the
+        // same cache behaviour.
         let mut batch_cache = EstimateCache::new();
         let batched = batch.estimate_many(&mut batch_cache, mappings, training);
-        let mut scalar_cache = EstimateCache::new();
+        let mut one_cache = EstimateCache::new();
         assert_eq!(batched.len(), mappings.len());
         for (p, b) in mappings.iter().zip(&batched) {
-            let s = scalar_of(p, &mut scalar_cache);
+            let s = one_of(p, &mut one_cache);
             match (s, b) {
                 (Ok(s), Ok(b)) => {
                     assert_eq!(
@@ -791,7 +946,7 @@ mod tests {
                     assert_eq!(s.total_workers, b.total_workers);
                 }
                 (Err(_), Err(_)) => {}
-                (s, b) => panic!("outcome mismatch for {p:?}: scalar {s:?} vs batch {b:?}"),
+                (s, b) => panic!("outcome mismatch for {p:?}: one {s:?} vs batch {b:?}"),
             }
         }
         // Warm-cache rerun of the batch stays bit-identical.
@@ -804,7 +959,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar_loop_bitwise_dense() {
+    fn batch_matches_one_at_a_time_bitwise_dense() {
         let m = dense_model();
         let a = accel();
         let sys = system(4, 8);
@@ -833,7 +988,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar_loop_bitwise_moe_with_zero() {
+    fn batch_matches_one_at_a_time_bitwise_moe_with_zero() {
         let m = moe_model();
         let a = accel();
         let sys = system(4, 8);
@@ -864,7 +1019,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_fills_the_cache_with_the_scalar_entries() {
+    fn batch_fills_the_cache_with_the_one_at_a_time_entries() {
         let m = dense_model();
         let a = accel();
         let sys = system(4, 8);
@@ -872,8 +1027,8 @@ mod tests {
         let training = TrainingConfig::new(512, 10).unwrap();
         let mappings = mappings_with_variants(512);
 
-        // A cache warmed by the batch path serves the scalar path fully:
-        // a scalar pass over a batch-warmed cache adds no new misses.
+        // A cache warmed by a batch serves one-candidate calls fully: a
+        // one-at-a-time pass over a batch-warmed cache adds no new misses.
         let mut cache = EstimateCache::new();
         BatchEvaluator::new(&m, &a, &sys)
             .with_efficiency(effm.clone())
@@ -908,16 +1063,16 @@ mod tests {
             out[0].as_ref().unwrap().total_time.get().to_bits(),
             out[2].as_ref().unwrap().total_time.get().to_bits()
         );
-        // The per-candidate error matches the scalar path's.
-        let scalar = Estimator::new(&m, &a, &sys, &bad).estimate(&training);
+        // The per-candidate error matches the reference estimate's.
+        let reference = Estimator::new(&m, &a, &sys, &bad).estimate(&training);
         assert_eq!(
             format!("{}", out[1].as_ref().unwrap_err()),
-            format!("{}", scalar.unwrap_err())
+            format!("{}", reference.unwrap_err())
         );
     }
 
     #[test]
-    fn lower_bounds_match_the_scalar_bound_bitwise() {
+    fn lower_bounds_match_one_at_a_time_bitwise() {
         let a = accel();
         let sys = system(4, 8);
         let training = TrainingConfig::new(512, 7).unwrap();
@@ -942,35 +1097,35 @@ mod tests {
             let mut batch_cache = EstimateCache::new();
             let bounds = batch.lower_bounds(&mut batch_cache, &mappings, &training);
             let estimates = batch.estimate_many(&mut batch_cache, &mappings, &training);
-            let mut scalar_cache = EstimateCache::new();
+            let mut one_cache = EstimateCache::new();
             for ((p, lb), est) in mappings.iter().zip(&bounds).zip(&estimates) {
-                let scalar = Estimator::new(&m, &a, &sys, p)
+                let one = Estimator::new(&m, &a, &sys, p)
                     .with_efficiency(effm.clone())
                     .with_options(opts)
-                    .compute_lower_bound(&mut scalar_cache, &training);
-                match (scalar, lb) {
+                    .compute_lower_bound(&mut one_cache, &training);
+                match (one, lb) {
                     (Ok(s), Ok(b)) => {
                         assert_eq!(s.get().to_bits(), b.get().to_bits(), "bound for {p:?}");
                         let total = est.as_ref().unwrap().total_time.get();
                         assert!(b.get() <= total, "bound above the estimate for {p:?}");
                     }
                     (Err(s), Err(b)) => assert_eq!(s.to_string(), b.to_string()),
-                    (s, b) => panic!("outcome mismatch for {p:?}: scalar {s:?} vs batch {b:?}"),
+                    (s, b) => panic!("outcome mismatch for {p:?}: one {s:?} vs batch {b:?}"),
                 }
             }
         }
-        // A shared-input error fills every slot with the scalar error.
+        // A shared-input error fills every slot with the one-candidate error.
         let m = dense_model();
         let bad_eff =
             BatchEvaluator::new(&m, &a, &sys).with_efficiency(EfficiencyModel::Constant(0.0));
         let p = mappings_with_variants(512)[0];
         let out = bad_eff.lower_bounds(&mut EstimateCache::new(), &[p, p], &training);
-        let scalar = Estimator::new(&m, &a, &sys, &p)
+        let one = Estimator::new(&m, &a, &sys, &p)
             .with_efficiency(EfficiencyModel::Constant(0.0))
             .compute_lower_bound(&mut EstimateCache::new(), &training)
             .unwrap_err();
         for slot in &out {
-            assert_eq!(slot.as_ref().unwrap_err().to_string(), scalar.to_string());
+            assert_eq!(slot.as_ref().unwrap_err().to_string(), one.to_string());
         }
     }
 
@@ -986,5 +1141,200 @@ mod tests {
             &TrainingConfig::new(64, 1).unwrap(),
         );
         assert!(out.is_empty());
+    }
+
+    fn close(a: f64, b: f64) -> bool {
+        (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1e-300)
+    }
+
+    fn assert_agrees(estimator: &Estimator<'_>, training: &TrainingConfig) {
+        let mut cache = EstimateCache::new();
+        // The literal per-layer reference against the memoized kernel.
+        let plain = estimator.estimate(training).unwrap();
+        let cached = estimator.estimate_cached(&mut cache, training).unwrap();
+        assert!(
+            close(plain.total_time.get(), cached.total_time.get()),
+            "total: {} vs {}",
+            plain.total_time.get(),
+            cached.total_time.get()
+        );
+        for ((name, a), (_, b)) in plain
+            .breakdown
+            .components()
+            .iter()
+            .zip(cached.breakdown.components())
+        {
+            assert!(close(*a, b), "{name}: {a} vs {b}");
+        }
+        assert_eq!(plain.num_microbatches, cached.num_microbatches);
+        assert!(close(plain.tflops_per_gpu, cached.tflops_per_gpu));
+        // A second cached call is fully served from the cache and identical.
+        let misses = cache.misses();
+        let again = estimator.estimate_cached(&mut cache, training).unwrap();
+        assert_eq!(again.total_time.get().to_bits(), cached.total_time.get().to_bits());
+        assert_eq!(cache.misses(), misses);
+    }
+
+    #[test]
+    fn one_candidate_matches_estimate_dense_tp() {
+        let m = dense_model();
+        let a = accel();
+        let sys = system(2, 8);
+        let p = Parallelism::builder().tp(8, 1).dp(1, 2).build().unwrap();
+        let est = Estimator::new(&m, &a, &sys, &p)
+            .with_efficiency(EfficiencyModel::Constant(0.5));
+        assert_agrees(&est, &TrainingConfig::new(256, 10).unwrap());
+    }
+
+    #[test]
+    fn one_candidate_matches_estimate_pipelined_with_imbalance() {
+        let m = dense_model();
+        let a = accel();
+        let sys = system(2, 8);
+        let p = Parallelism::builder()
+            .tp(2, 1)
+            .pp(4, 2)
+            .dp(1, 1)
+            .microbatches(MicrobatchPolicy::Explicit(16))
+            .build()
+            .unwrap();
+        let est = Estimator::new(&m, &a, &sys, &p)
+            .with_efficiency(EfficiencyModel::saturating(0.9, 4.0, 0.1, 0.9))
+            .with_options(EngineOptions {
+                stage_imbalance_correction: true,
+                ..Default::default()
+            });
+        assert_agrees(&est, &TrainingConfig::new(512, 3).unwrap());
+    }
+
+    #[test]
+    fn one_candidate_matches_estimate_moe_with_zero() {
+        let m = moe_model();
+        let a = accel();
+        let sys = system(4, 8);
+        let p = Parallelism::builder()
+            .tp(8, 1)
+            .dp(1, 4)
+            .zero(ZeroConfig::stage(ZeroStage::Gradients, 0.5))
+            .build()
+            .unwrap();
+        let est = Estimator::new(&m, &a, &sys, &p)
+            .with_efficiency(EfficiencyModel::Constant(0.6));
+        assert_agrees(&est, &TrainingConfig::new(128, 5).unwrap());
+    }
+
+    #[test]
+    fn cache_survives_parallelism_and_batch_changes() {
+        // The same cache serves different mappings and batch sizes; keyed
+        // sub-results keep the outputs equal to fresh-cache runs.
+        let m = dense_model();
+        let a = accel();
+        let sys = system(2, 8);
+        let training = TrainingConfig::new(256, 2).unwrap();
+        let mut shared = EstimateCache::new();
+        for (tp, pp, dp_intra, dp_inter) in [(8, 1, 1, 2), (4, 2, 1, 2), (1, 8, 1, 2), (2, 1, 4, 2)]
+        {
+            let p = Parallelism::builder()
+                .tp(tp, 1)
+                .pp(pp, 1)
+                .dp(dp_intra, dp_inter)
+                .build()
+                .unwrap();
+            let est = Estimator::new(&m, &a, &sys, &p)
+                .with_efficiency(EfficiencyModel::Constant(0.5));
+            let mut fresh = EstimateCache::new();
+            let from_shared = est.estimate_cached(&mut shared, &training).unwrap();
+            let from_fresh = est.estimate_cached(&mut fresh, &training).unwrap();
+            assert_eq!(
+                from_shared.total_time.get().to_bits(),
+                from_fresh.total_time.get().to_bits()
+            );
+        }
+        assert!(shared.hits() > 0);
+    }
+
+    #[test]
+    fn lower_bound_never_exceeds_cached_estimate() {
+        let m = moe_model();
+        let a = accel();
+        let sys = system(4, 8);
+        let training = TrainingConfig::new(256, 7).unwrap();
+        for p in [
+            Parallelism::builder().tp(8, 1).dp(1, 4).build().unwrap(),
+            Parallelism::builder().tp(2, 1).pp(4, 2).dp(1, 2).build().unwrap(),
+            Parallelism::builder().pp(8, 1).dp(1, 4).build().unwrap(),
+        ] {
+            let est = Estimator::new(&m, &a, &sys, &p)
+                .with_efficiency(EfficiencyModel::saturating(0.95, 4.0, 0.25, 0.95))
+                .with_options(EngineOptions {
+                    stage_imbalance_correction: true,
+                    ..Default::default()
+                });
+            let mut cache = EstimateCache::new();
+            let lb = est.compute_lower_bound(&mut cache, &training).unwrap();
+            let full = est.estimate_cached(&mut cache, &training).unwrap();
+            assert!(
+                lb.get() <= full.total_time.get(),
+                "lb {} > total {} for {p:?}",
+                lb.get(),
+                full.total_time.get()
+            );
+            assert!(lb.get() > 0.0);
+        }
+    }
+
+    #[test]
+    fn lower_bound_tp_floor_matches_estimate_terms_bitwise() {
+        // With pp = 1 the imbalance correction is off, so the bound's
+        // compute terms match the estimate's bitwise — and the TP floor
+        // repeats the estimate's own accumulation, so the whole bound is
+        // reconstructable from the breakdown, exactly.
+        let m = dense_model();
+        let a = accel();
+        let sys = system(2, 8);
+        let training = TrainingConfig::new(256, 7).unwrap();
+        let p = Parallelism::builder().tp(8, 1).dp(1, 2).build().unwrap();
+        let est = Estimator::new(&m, &a, &sys, &p)
+            .with_efficiency(EfficiencyModel::Constant(0.5));
+        let mut cache = EstimateCache::new();
+        let lb = est.compute_lower_bound(&mut cache, &training).unwrap();
+        let full = est.estimate_cached(&mut cache, &training).unwrap();
+        let b = &full.breakdown;
+        let expect =
+            (b.compute_total() + (b.tp_comm_intra + b.tp_comm_inter)) * 7.0;
+        assert_eq!(lb.get().to_bits(), expect.to_bits());
+        // The floor genuinely tightens the old compute-only bound.
+        assert!(b.tp_comm_intra > 0.0);
+        assert!(lb.get() > b.compute_total() * 7.0);
+        assert!(lb.get() <= full.total_time.get());
+    }
+
+    #[test]
+    fn lower_bound_equals_compute_when_no_communication() {
+        let m = dense_model();
+        let a = accel();
+        let sys = system(1, 1);
+        let p = Parallelism::single();
+        let training = TrainingConfig::new(32, 4).unwrap();
+        let est = Estimator::new(&m, &a, &sys, &p)
+            .with_efficiency(EfficiencyModel::Constant(0.5));
+        let mut cache = EstimateCache::new();
+        let lb = est.compute_lower_bound(&mut cache, &training).unwrap();
+        let full = est.estimate_cached(&mut cache, &training).unwrap();
+        // Single worker: no comms, no bubble, imbalance off — the bound is
+        // the whole answer.
+        assert_eq!(lb.get().to_bits(), full.total_time.get().to_bits());
+    }
+
+    #[test]
+    fn lower_bound_rejects_invalid_mappings() {
+        let m = dense_model();
+        let a = accel();
+        let sys = system(1, 8);
+        let p = Parallelism::builder().tp(4, 1).build().unwrap(); // 4 != 8
+        let mut cache = EstimateCache::new();
+        assert!(Estimator::new(&m, &a, &sys, &p)
+            .compute_lower_bound(&mut cache, &TrainingConfig::new(8, 1).unwrap())
+            .is_err());
     }
 }

@@ -12,7 +12,6 @@ mod backend;
 mod batch;
 mod breakdown;
 mod cache;
-mod cached;
 mod detail;
 mod estimator;
 mod options;

@@ -26,11 +26,11 @@
 //!   pool ([`SearchEngine::with_parallelism`]); rankings are sorted by a
 //!   total key (time, then parallelism degrees) so the result is identical
 //!   for any worker count.
-//! * **Memoization** — each worker carries an
-//!   [`EstimateCache`](amped_core::EstimateCache) so per-layer operation
-//!   counts, collective cost factors and other scenario-invariant
-//!   sub-results are computed once instead of per candidate
-//!   ([`SearchEngine::with_memoization`], on by default).
+//! * **Batched, memoized pricing** — workers price chunks of candidates
+//!   through one [`BatchEvaluator`] call per chunk, and each worker carries
+//!   an [`EstimateCache`] so per-layer operation counts, collective cost
+//!   factors and other scenario-invariant sub-results are computed once
+//!   instead of per candidate.
 //! * **Branch-and-bound pruning** — a compute-only lower bound lets
 //!   workers skip full evaluation of candidates that cannot beat the best
 //!   time seen so far ([`SearchEngine::with_pruning`]); the bound is exact
@@ -77,9 +77,9 @@ use std::sync::Arc;
 
 use amped_core::{
     AcceleratorSpec, BatchEvaluator, CacheLease, CachePool, CorrelatedResilience, CostBackend,
-    EfficiencyModel, ElasticParams, EngineOptions, Estimate, EstimateCache, Estimator,
-    FailureDomainTree, MicrobatchPolicy, Parallelism, Precision, ResilienceParams,
-    ResilienceReport, Result, Scenario, SystemSpec, TrainingConfig, TransformerModel, ZeroConfig,
+    EfficiencyModel, ElasticParams, EngineOptions, Estimate, EstimateCache, FailureDomainTree,
+    MicrobatchPolicy, Parallelism, Precision, ResilienceParams, ResilienceReport, Result,
+    Scenario, SystemSpec, TrainingConfig, TransformerModel, ZeroConfig,
 };
 use amped_energy::{EnergyEstimate, PowerModel};
 use amped_memory::{MemoryFootprint, MemoryModel, MicrobatchFit, OptimizerSpec, PipelineSchedule};
@@ -453,8 +453,6 @@ pub struct SearchEngine<'a> {
     tune_microbatches: bool,
     jobs: usize,
     prune: bool,
-    memoize: bool,
-    batch: bool,
     refine_sim: usize,
     goodput: Option<GoodputOptions>,
     fault_plan: Option<FaultPlan>,
@@ -466,8 +464,8 @@ pub struct SearchEngine<'a> {
 /// private fresh cache (the default) or a lease from a shared
 /// [`CachePool`], so a long-lived process can carry warmed sub-results
 /// across searches. Both are bit-identical to evaluate against (warming a
-/// cache never changes `estimate_cached` results), so attaching a pool is
-/// as invisible to rankings as attaching an observer.
+/// cache never changes the pricing kernel's results), so attaching a pool
+/// is as invisible to rankings as attaching an observer.
 enum WorkerCache<'pool> {
     Fresh(EstimateCache),
     Pooled(CacheLease<'pool>),
@@ -516,8 +514,6 @@ impl<'a> SearchEngine<'a> {
             tune_microbatches: true,
             jobs: 0,
             prune: false,
-            memoize: true,
-            batch: true,
             refine_sim: 0,
             goodput: None,
             fault_plan: None,
@@ -579,11 +575,11 @@ impl<'a> SearchEngine<'a> {
 
     /// Enable branch-and-bound pruning (default off): candidates whose
     /// compute-only lower bound exceeds the best total time seen so far
-    /// skip full estimation, memory and energy accounting. The bound is
-    /// exact in f64 against the memoized estimation path (which pruning
-    /// therefore implies), so the pruned ranking is the truncation of the
-    /// full ranking to candidates with `lower_bound <= best_time` —
-    /// deterministic and always containing the optimum.
+    /// skip full estimation, memory and energy accounting. The bound runs
+    /// on the same batch kernel as the estimates and is exact against them
+    /// in f64, so the pruned ranking is the truncation of the full ranking
+    /// to candidates with `lower_bound <= best_time` — deterministic and
+    /// always containing the optimum.
     pub fn with_pruning(mut self, prune: bool) -> Self {
         self.prune = prune;
         self
@@ -664,43 +660,6 @@ impl<'a> SearchEngine<'a> {
     /// worker count.
     pub fn with_cache_pool(mut self, pool: Arc<CachePool>) -> Self {
         self.cache_pool = Some(pool);
-        self
-    }
-
-    /// Use the batched evaluation path (default on): workers price chunks
-    /// of candidates through
-    /// [`BatchEvaluator::estimate_many`](amped_core::BatchEvaluator), which
-    /// hoists scenario-invariant work out of the per-candidate loop and
-    /// replaces the per-variant memory re-runs with the closed-form
-    /// max-microbatch solve
-    /// ([`MemoryModel::solve_max_microbatch`](amped_memory::MemoryModel::solve_max_microbatch)).
-    /// Batched estimates are bit-identical to the scalar memoized loop at
-    /// any worker count (pinned by differential tests), so turning this
-    /// off — the scalar reference for those tests — only changes speed.
-    /// Batching requires the memoized path and is inert when both
-    /// memoization and pruning are off.
-    pub fn with_batching(mut self, batch: bool) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// Whether searches run through the batched evaluation path: batching
-    /// enabled on an engine whose estimates go through the memoized path
-    /// (which the batch evaluator is bit-identical to — the unmemoized
-    /// reference differs by float associativity).
-    fn batching_active(&self) -> bool {
-        self.batch && (self.memoize || self.prune)
-    }
-
-    /// Use the memoized estimation path (default on): each worker carries
-    /// an [`EstimateCache`](amped_core::EstimateCache) so scenario-invariant
-    /// sub-results are computed once per search, not per candidate. Turning
-    /// it off (without pruning) evaluates through the original
-    /// [`Estimator::estimate`], the reference path for differential tests
-    /// and benchmarks; cached and uncached estimates agree to float
-    /// associativity (~1e-12 relative on deep stacks).
-    pub fn with_memoization(mut self, memoize: bool) -> Self {
-        self.memoize = memoize;
         self
     }
 
@@ -799,7 +758,7 @@ impl<'a> SearchEngine<'a> {
         let best_bits = AtomicU64::new(f64::INFINITY.to_bits());
         let (outcomes, bounds) = {
             let _phase = self.observer.as_ref().map(|o| o.phase("search.explore"));
-            self.explore_all(&mappings, training, &best_bits)
+            self.explore_all(&mappings, std::slice::from_ref(training), &best_bits)
         };
         let _rank_phase = self.observer.as_ref().map(|o| o.phase("search.rank"));
         let mut stats = SearchStats {
@@ -904,39 +863,30 @@ impl<'a> SearchEngine<'a> {
         Ok(())
     }
 
-    /// Explore every mapping over the worker pool, returning outcomes in
-    /// mapping order and the number of lower bounds priced: chunked through
-    /// the batch evaluator when batching is active, the scalar
-    /// per-candidate path otherwise. Both paths produce bit-identical
-    /// outcomes (pinned by differential tests); the chunk size only shapes
-    /// wall-clock.
+    /// Explore every (training, mapping) pair over the worker pool as
+    /// (training, chunk-of-mappings) tasks that share one incumbent best
+    /// time, returning outcomes training-major in mapping order and the
+    /// number of lower bounds priced. The chunk size only shapes
+    /// wall-clock and the incumbent's tightening cadence, which the
+    /// deterministic post-filter normalizes.
     fn explore_all(
         &self,
         mappings: &[Parallelism],
-        training: &TrainingConfig,
+        trainings: &[TrainingConfig],
         best_bits: &AtomicU64,
     ) -> (Vec<Result<Outcome>>, u64) {
-        if !self.batching_active() {
-            let outcomes = self.run_parallel(mappings.len(), |cache, i| {
-                self.explore(cache, &mappings[i], training, best_bits)
-            });
-            // `explore` prices exactly one bound per mapping when pruning.
-            let bounds = if self.prune { mappings.len() as u64 } else { 0 };
-            return (outcomes, bounds);
-        }
         // Small enough chunks keep the pool load-balanced (several chunks
-        // per worker), large enough ones amortize the batch setup. The
-        // boundary cannot change results — only the incumbent's tightening
-        // cadence, which the deterministic post-filter normalizes.
+        // per worker), large enough ones amortize the batch setup.
         let jobs = self.effective_jobs(mappings.len());
         let chunk = (mappings.len() / (4 * jobs)).clamp(1, 64);
-        let n_chunks = mappings.len().div_ceil(chunk);
-        let chunks = self.run_parallel(n_chunks, |cache, ci| {
+        let per_training = mappings.len().div_ceil(chunk);
+        let chunks = self.run_parallel(trainings.len() * per_training, |cache, task| {
+            let (t, ci) = (task / per_training, task % per_training);
             let start = ci * chunk;
             let end = (start + chunk).min(mappings.len());
-            Ok(self.explore_chunk(cache, &mappings[start..end], training, best_bits))
+            Ok(self.explore_chunk(cache, &mappings[start..end], &trainings[t], best_bits))
         });
-        let mut outcomes = Vec::with_capacity(mappings.len());
+        let mut outcomes = Vec::with_capacity(trainings.len() * mappings.len());
         let mut bounds = 0u64;
         for c in chunks {
             let (chunk_outcomes, chunk_bounds) = c.expect("chunk exploration itself is infallible");
@@ -946,51 +896,13 @@ impl<'a> SearchEngine<'a> {
         (outcomes, bounds)
     }
 
-    /// Lower-bound, prune, evaluate and score one mapping against the
-    /// shared incumbent best time — the scalar exploration path.
-    fn explore(
-        &self,
-        cache: &mut EstimateCache,
-        p: &Parallelism,
-        training: &TrainingConfig,
-        best_bits: &AtomicU64,
-    ) -> Result<Outcome> {
-        let lower_bound = if self.prune {
-            let _span = self.observer.as_ref().map(|o| o.span("prune"));
-            let lb = self
-                .lower_bounds(cache, std::slice::from_ref(p), training)
-                .pop()
-                .expect("one bound per mapping")?;
-            // Total times are non-negative finite, for which the f64 bit
-            // pattern orders like the value — so the incumbent can live in
-            // an AtomicU64 and be tightened with fetch_min.
-            if lb > f64::from_bits(best_bits.load(Ordering::Relaxed)) {
-                return Ok(Outcome::Pruned);
-            }
-            lb
-        } else {
-            f64::NEG_INFINITY
-        };
-        let _span = self.observer.as_ref().map(|o| o.span("evaluate"));
-        match self.evaluate(cache, p, training)? {
-            Err(failure) => Ok(Outcome::Filtered(failure)),
-            Ok(candidate) => {
-                best_bits.fetch_min(candidate.objective_time().to_bits(), Ordering::Relaxed);
-                Ok(Outcome::Kept {
-                    lower_bound,
-                    candidate,
-                })
-            }
-        }
-    }
-
     /// Explore a contiguous run of mappings through one
     /// [`BatchEvaluator::lower_bounds`] and one
     /// [`BatchEvaluator::estimate_many`] call: price every mapping's bound,
     /// prune per mapping against the incumbent, then price every surviving
     /// mapping's microbatch variants in a single batch and fold each
-    /// mapping's variants exactly as the scalar path does. Returns the
-    /// outcomes and the number of bounds priced.
+    /// mapping's variants (see [`SearchEngine::score_mapping`]). Returns
+    /// the outcomes and the number of bounds priced.
     ///
     /// Pricing the chunk's bounds up front changes no prune decision: this
     /// worker tightens the incumbent only after its `estimate_many`.
@@ -1015,6 +927,9 @@ impl<'a> SearchEngine<'a> {
         };
         for (i, p) in chunk.iter().enumerate() {
             if let Some(bound) = bounds.get(i) {
+                // Total times are non-negative finite, for which the f64
+                // bit pattern orders like the value — so the incumbent can
+                // live in an AtomicU64 and be tightened with fetch_min.
                 match bound {
                     Err(e) => {
                         out[i] = Some(Err(e.clone()));
@@ -1200,9 +1115,10 @@ impl<'a> SearchEngine<'a> {
     /// cheapest possible total time of any microbatch variant the search
     /// would try (the whole tuning ladder, or the mapping's own policy with
     /// tuning off), i.e. the minimum over those variants of
-    /// [`Estimator::compute_lower_bound`], bitwise. Priced in one
-    /// [`BatchEvaluator::lower_bounds`] call at one rung per mapping; this
-    /// is the bound every pruned search compares with its incumbent.
+    /// [`Estimator::compute_lower_bound`](amped_core::Estimator::compute_lower_bound),
+    /// bitwise. Priced in one [`BatchEvaluator::lower_bounds`] call at one
+    /// rung per mapping; this is the bound every pruned search compares
+    /// with its incumbent.
     /// `cache` must be bound to this engine's scenario (see
     /// [`EstimateCache`]).
     ///
@@ -1245,97 +1161,12 @@ impl<'a> SearchEngine<'a> {
             .collect()
     }
 
-    /// Evaluate one mapping: with tuning on, try every power-of-two
-    /// microbatch size and keep the fastest memory-feasible variant
-    /// (fastest overall if nothing fits and the filter is off). When the
-    /// filter rejects every variant, report which capacity inequality
-    /// failed first (classified at the smallest microbatch, the mapping's
-    /// most feasible point — matching the closed-form solve's verdict).
-    ///
-    /// Pruning requires estimates the lower bound is exact against, so it
-    /// forces the memoized path even when memoization is off.
-    fn evaluate(
-        &self,
-        cache: &mut EstimateCache,
-        p: &Parallelism,
-        training: &TrainingConfig,
-    ) -> Result<Scored> {
-        let use_cache = self.memoize || self.prune;
-        let mut best: Option<Candidate> = None;
-        let mut first_failure: Option<CapacityFailure> = None;
-        let mut variants = Vec::new();
-        self.push_microbatch_variants(p, training, &mut variants);
-        for variant in variants {
-            let estimator = Estimator::new(self.model, self.accel, self.system, &variant)
-                .with_precision(self.precision)
-                .with_efficiency(self.efficiency.clone())
-                .with_options(self.engine_options);
-            let estimate = if use_cache {
-                estimator.estimate_cached(cache, training)?
-            } else {
-                estimator.estimate(training)?
-            };
-            let mem_model = self.memory_model(&variant);
-            let memory = mem_model.footprint(estimate.microbatch_size, estimate.num_microbatches);
-            let fits_memory = memory.total() <= self.accel.memory_bytes();
-            if self.require_memory_fit && !fits_memory {
-                if first_failure.is_none() {
-                    first_failure = Some(memory.capacity_failure(self.accel.memory_bytes()));
-                }
-                continue;
-            }
-            let better = match &best {
-                None => true,
-                // Prefer fitting candidates, then faster ones.
-                Some(b) => {
-                    (fits_memory, std::cmp::Reverse(estimate.total_time.get()))
-                        > (b.fits_memory, std::cmp::Reverse(b.estimate.total_time.get()))
-                }
-            };
-            if better {
-                let energy =
-                    EnergyEstimate::from_estimate(&estimate, &self.power, training.num_batches());
-                best = Some(Candidate {
-                    parallelism: variant,
-                    estimate,
-                    memory,
-                    energy,
-                    fits_memory,
-                    refined: None,
-                    resilience: None,
-                });
-            }
-        }
-        let Some(mut candidate) = best else {
-            return Ok(Err(first_failure
-                .expect("a mapping with no retained variant had a rejected one")));
-        };
-        if let Some(goodput) = &self.goodput {
-            candidate.resilience = Some(self.resilience_report(goodput, &candidate)?);
-        }
-        Ok(Ok(Box::new(candidate)))
-    }
-
-    /// Evaluate one mapping through the configured path: batched when
-    /// batching is active, the scalar per-variant loop otherwise. The
-    /// sweep grid evaluates through this dispatcher.
+    /// Evaluate one mapping: with tuning on, price the power-of-two
+    /// microbatch variants in one [`BatchEvaluator::estimate_many`] call
+    /// and keep the fastest memory-feasible one (fastest overall if nothing
+    /// fits and the filter is off). The sweep grid evaluates its cells
+    /// through this.
     pub(crate) fn evaluate_cell(
-        &self,
-        cache: &mut EstimateCache,
-        p: &Parallelism,
-        training: &TrainingConfig,
-    ) -> Result<Scored> {
-        if self.batching_active() {
-            self.evaluate_mapping_batched(cache, p, training)
-        } else {
-            self.evaluate(cache, p, training)
-        }
-    }
-
-    /// Evaluate one mapping's microbatch variants through the batch
-    /// evaluator — [`SearchEngine::evaluate`] semantics, bit-identical
-    /// results, one `estimate_many` call instead of a per-variant loop.
-    fn evaluate_mapping_batched(
         &self,
         cache: &mut EstimateCache,
         p: &Parallelism,
@@ -1369,9 +1200,9 @@ impl<'a> SearchEngine<'a> {
     ///   one — and are not worth pricing;
     /// * when nothing fits and the memory filter is on, the mapping will be
     ///   rejected whatever the estimates say — one variant is still priced
-    ///   so engine-level validation errors propagate exactly as the scalar
-    ///   path propagates them (estimate errors depend only on the mapping
-    ///   and engine configuration, never on the microbatch count).
+    ///   so engine-level validation errors still propagate (estimate errors
+    ///   depend only on the mapping and engine configuration, never on the
+    ///   microbatch count).
     ///
     /// Without tuning the single variant carries its own policy, which
     /// need not be a ladder point — no solve, direct footprints instead.
@@ -1407,8 +1238,11 @@ impl<'a> SearchEngine<'a> {
     }
 
     /// Fold one mapping's already-priced microbatch variants into its
-    /// winning candidate, replicating the scalar [`SearchEngine::evaluate`]
-    /// fold exactly. Memory feasibility comes from the closed-form
+    /// winning candidate: fitting variants beat non-fitting ones, then
+    /// faster beats slower, and when the filter rejects every variant the
+    /// first capacity inequality violated (at the smallest microbatch, the
+    /// mapping's most feasible point) is reported. Memory feasibility comes
+    /// from the closed-form
     /// max-microbatch solve done by [`SearchEngine::plan_variants`] — one
     /// solve per mapping instead of one footprint per variant (variant `k`
     /// of the tuning ladder fits iff `k <= MicrobatchFit::ladder_index`,
@@ -1534,15 +1368,14 @@ impl<'a> SearchEngine<'a> {
 
     /// The fastest candidate, or `None` when every mapping was filtered out.
     ///
-    /// Since only the optimum is returned — and the lower bound never
-    /// prunes the optimum — pruning is forced on whenever the memoized path
-    /// (whose totals the bound is exact against) is in use anyway.
+    /// Only the optimum is returned, and the lower bound never prunes the
+    /// optimum, so pruning is always on.
     ///
     /// # Errors
     ///
     /// Propagates estimator errors.
     pub fn best(&self, training: &TrainingConfig) -> Result<Option<Candidate>> {
-        let engine = self.clone().with_pruning(self.prune || self.memoize);
+        let engine = self.clone().with_pruning(true);
         Ok(engine.search(training)?.into_iter().next())
     }
 
@@ -1552,11 +1385,12 @@ impl<'a> SearchEngine<'a> {
     /// may harm convergence — the caller owns that judgement (the paper
     /// assumes "minimal impact" up to 16384).
     ///
-    /// The batch × mapping grid is evaluated by one worker pool with a
-    /// single incumbent best time shared across batches, so with pruning a
-    /// strong early batch cheapens every later one. Ties go to the earlier
-    /// batch, then the parallelism degrees (a total order — the winner is
-    /// deterministic for every worker count).
+    /// The batch × mapping grid is evaluated by one worker pool, in
+    /// (batch, chunk-of-mappings) tasks with pruning always on and a single
+    /// incumbent best time shared across batches, so a strong early batch
+    /// cheapens every later one. Ties go to the earlier batch, then the
+    /// parallelism degrees (a total order — the winner is deterministic for
+    /// every worker count).
     ///
     /// # Errors
     ///
@@ -1568,20 +1402,17 @@ impl<'a> SearchEngine<'a> {
         seq_len: usize,
         token_budget: f64,
     ) -> Result<Option<(usize, Candidate)>> {
-        let engine = self.clone().with_pruning(self.prune || self.memoize);
+        let engine = self.clone().with_pruning(true);
         let mut trainings = Vec::with_capacity(batches.len());
         for &batch in batches {
-            trainings.push((batch, TrainingConfig::from_tokens(batch, seq_len, token_budget)?));
+            trainings.push(TrainingConfig::from_tokens(batch, seq_len, token_budget)?);
         }
         let mappings = enumerate_mappings(engine.system, engine.model, &engine.enumeration);
         if trainings.is_empty() || mappings.is_empty() {
             return Ok(None);
         }
         let best_bits = AtomicU64::new(f64::INFINITY.to_bits());
-        let outcomes = engine.run_parallel(trainings.len() * mappings.len(), |cache, i| {
-            let (batch_idx, map_idx) = (i / mappings.len(), i % mappings.len());
-            engine.explore(cache, &mappings[map_idx], &trainings[batch_idx].1, &best_bits)
-        });
+        let (outcomes, bounds) = engine.explore_all(&mappings, &trainings, &best_bits);
         let mut best: Option<(usize, Candidate)> = None; // (batch index, candidate)
         let mut counts = [0u64; 3]; // pruned, memory-rejected, kept
         for (i, outcome) in outcomes.into_iter().enumerate() {
@@ -1627,15 +1458,9 @@ impl<'a> SearchEngine<'a> {
             obs.add("search.candidates.memory_rejected", counts[1]);
             obs.add("search.candidates.kept", counts[2]);
             obs.add("search.candidates.evaluated", counts[1] + counts[2]);
-            // `explore` prices exactly one bound per pruned-path mapping.
-            let bounds = if engine.prune {
-                trainings.len() * mappings.len()
-            } else {
-                0
-            };
-            obs.add("search.bound.evaluated", bounds as u64);
+            obs.add("search.bound.evaluated", bounds);
         }
-        Ok(best.map(|(batch_idx, c)| (trainings[batch_idx].0, c)))
+        Ok(best.map(|(batch_idx, c)| (batches[batch_idx], c)))
     }
 }
 
@@ -1666,7 +1491,7 @@ pub fn pareto_front(candidates: &[Candidate]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amped_core::Link;
+    use amped_core::{Estimator, Link};
 
     fn system(nodes: usize, per_node: usize) -> SystemSpec {
         SystemSpec::new(
@@ -1929,32 +1754,86 @@ mod tests {
         }
     }
 
+    /// A brute-force search over the literal per-layer reference: every
+    /// enumerated mapping, every tuning-ladder rung priced with
+    /// [`Estimator::estimate`] and [`MemoryModel::footprint`], folded by
+    /// `(fits, time)` and ranked by `(time, degrees)`. Returns each ranked
+    /// mapping's degrees and total time.
+    fn reference_ranking(
+        m: &TransformerModel,
+        a: &AcceleratorSpec,
+        sys: &SystemSpec,
+        efficiency: &EfficiencyModel,
+        training: &TrainingConfig,
+        memory_filter: bool,
+    ) -> Vec<([usize; 6], f64)> {
+        let mut ranked = Vec::new();
+        for p in enumerate_mappings(sys, m, &EnumerationOptions::default()) {
+            let replica = (training.global_batch() / p.dp()).max(1);
+            let mut best: Option<(bool, f64)> = None;
+            let mut ub = 1usize;
+            while ub <= replica {
+                let variant =
+                    p.with_microbatches(MicrobatchPolicy::Explicit(replica.div_ceil(ub)));
+                ub *= 2;
+                let estimate = Estimator::new(m, a, sys, &variant)
+                    .with_efficiency(efficiency.clone())
+                    .estimate(training)
+                    .unwrap();
+                let memory = MemoryModel::new(m, &variant)
+                    .footprint(estimate.microbatch_size, estimate.num_microbatches);
+                let fits = memory.total() <= a.memory_bytes();
+                if memory_filter && !fits {
+                    continue;
+                }
+                let time = estimate.total_time.get();
+                let better = match best {
+                    None => true,
+                    Some((b_fits, b_time)) => {
+                        (fits, std::cmp::Reverse(time)) > (b_fits, std::cmp::Reverse(b_time))
+                    }
+                };
+                if better {
+                    best = Some((fits, time));
+                }
+            }
+            if let Some((_, time)) = best {
+                ranked.push((parallelism_key(&p), time));
+            }
+        }
+        ranked.sort_by(|x, y| x.1.total_cmp(&y.1).then(x.0.cmp(&y.0)));
+        ranked
+    }
+
     #[test]
-    fn memoized_search_matches_unmemoized_reference() {
+    fn search_matches_the_brute_force_estimate_reference() {
         let m = model();
         let a = accel();
         let sys = system(4, 8);
         let training = TrainingConfig::new(512, 10).unwrap();
-        let fast = SearchEngine::new(&m, &a, &sys)
-            .with_efficiency(EfficiencyModel::Constant(0.5))
-            .search(&training)
-            .unwrap();
-        let reference = SearchEngine::new(&m, &a, &sys)
-            .with_efficiency(EfficiencyModel::Constant(0.5))
-            .with_memoization(false)
-            .with_parallelism(1)
-            .search(&training)
-            .unwrap();
-        assert_eq!(fast.len(), reference.len());
-        for (x, y) in fast.iter().zip(&reference) {
-            assert_eq!(parallelism_key(&x.parallelism), parallelism_key(&y.parallelism));
-            let (tx, ty) = (x.estimate.total_time.get(), y.estimate.total_time.get());
-            assert!(
-                (tx - ty).abs() <= 1e-9 * ty.abs(),
-                "cached {tx} vs plain {ty} for {:?}",
-                x.parallelism
-            );
+        let efficiency = EfficiencyModel::saturating(0.9, 4.0, 0.1, 0.9);
+        let mut sizes = Vec::new();
+        for memory_filter in [false, true] {
+            let found = SearchEngine::new(&m, &a, &sys)
+                .with_efficiency(efficiency.clone())
+                .with_memory_filter(memory_filter)
+                .search(&training)
+                .unwrap();
+            let reference = reference_ranking(&m, &a, &sys, &efficiency, &training, memory_filter);
+            assert_eq!(found.len(), reference.len(), "memory_filter={memory_filter}");
+            for (x, (key, ty)) in found.iter().zip(&reference) {
+                assert_eq!(parallelism_key(&x.parallelism), *key);
+                let tx = x.estimate.total_time.get();
+                assert!(
+                    (tx - ty).abs() <= 1e-9 * ty.abs(),
+                    "kernel {tx} vs reference {ty} for {:?}",
+                    x.parallelism
+                );
+            }
+            sizes.push(reference.len());
         }
+        // The filter really rejects mappings of this 6.7B-parameter model.
+        assert!(sizes[1] < sizes[0], "{sizes:?}");
     }
 
     #[test]
@@ -2179,11 +2058,10 @@ mod tests {
         let training = TrainingConfig::new(512, 10).unwrap();
         let base = SearchEngine::new(&m, &a, &sys)
             .with_efficiency(EfficiencyModel::saturating(0.9, 4.0, 0.1, 0.9));
-        for (batch, jobs) in [(true, 1), (true, 2), (false, 1)] {
+        for jobs in [1, 2] {
             for prune in [true, false] {
                 let obs = Arc::new(Observer::new());
                 base.clone()
-                    .with_batching(batch)
                     .with_parallelism(jobs)
                     .with_pruning(prune)
                     .with_observer(obs.clone())
@@ -2197,9 +2075,22 @@ mod tests {
                 };
                 assert_eq!(
                     c["search.bound.evaluated"], expect,
-                    "batch={batch} jobs={jobs} prune={prune}: {c:?}"
+                    "jobs={jobs} prune={prune}: {c:?}"
                 );
             }
+            // The batch co-optimization always prunes: one bound per
+            // (batch, mapping) pair.
+            let obs = Arc::new(Observer::new());
+            base.clone()
+                .with_parallelism(jobs)
+                .with_observer(obs.clone())
+                .best_over_batches(&[256, 1024], 2048, 1e9)
+                .unwrap();
+            let c = obs.counters();
+            assert_eq!(
+                c["search.bound.evaluated"], c["search.candidates.generated"],
+                "best_over_batches jobs={jobs}: {c:?}"
+            );
         }
     }
 
@@ -2276,9 +2167,8 @@ mod tests {
         }
     }
 
-    /// Every candidate field the batched path assembles, compared bitwise
-    /// against the scalar reference — stricter than
-    /// `assert_identical_rankings`.
+    /// Every candidate field a search assembles, compared bitwise — stricter
+    /// than `assert_identical_rankings`.
     fn assert_identical_candidates(a: &[Candidate], b: &[Candidate]) {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
@@ -2307,37 +2197,32 @@ mod tests {
                     assert_eq!(rx.expected_s.to_bits(), ry.expected_s.to_bits());
                 }
                 (None, None) => {}
-                _ => panic!("resilience attachment differs between paths"),
+                _ => panic!("resilience attachment differs between runs"),
             }
         }
     }
 
     #[test]
-    fn batched_search_is_bit_identical_to_scalar_at_any_worker_count() {
+    fn search_candidates_are_bit_identical_at_any_worker_count() {
         let m = model();
         let a = accel();
         let sys = system(4, 8);
         let training = TrainingConfig::new(512, 10).unwrap();
         let base = SearchEngine::new(&m, &a, &sys)
             .with_efficiency(EfficiencyModel::saturating(0.9, 4.0, 0.1, 0.9));
-        let scalar = base
-            .clone()
-            .with_batching(false)
-            .with_parallelism(1)
-            .search(&training)
-            .unwrap();
+        let serial = base.clone().with_parallelism(1).search(&training).unwrap();
         for jobs in [1, 4] {
-            let batched = base
+            let run = base
                 .clone()
                 .with_parallelism(jobs)
                 .search(&training)
                 .unwrap();
-            assert_identical_candidates(&scalar, &batched);
+            assert_identical_candidates(&serial, &run);
         }
     }
 
     #[test]
-    fn batched_search_matches_scalar_under_memory_filter_and_goodput() {
+    fn memory_filtered_goodput_search_is_bit_identical_at_any_worker_count() {
         let m = model();
         let a = accel();
         let sys = system(1, 2); // tight memory: the filter really rejects
@@ -2346,25 +2231,20 @@ mod tests {
             .with_efficiency(EfficiencyModel::Constant(0.5))
             .with_memory_filter(true)
             .with_goodput(GoodputOptions::new(1e6));
-        let scalar = base
-            .clone()
-            .with_batching(false)
-            .with_parallelism(1)
-            .search(&training)
-            .unwrap();
+        let serial = base.clone().with_parallelism(1).search(&training).unwrap();
         for jobs in [1, 4] {
-            let batched = base
+            let run = base
                 .clone()
                 .with_parallelism(jobs)
                 .search(&training)
                 .unwrap();
-            assert_identical_candidates(&scalar, &batched);
+            assert_identical_candidates(&serial, &run);
         }
-        assert!(scalar.iter().all(|c| c.resilience.is_some()));
+        assert!(serial.iter().all(|c| c.resilience.is_some()));
     }
 
     #[test]
-    fn batched_pruned_search_matches_scalar_pruned() {
+    fn pruned_search_candidates_are_bit_identical_at_any_worker_count() {
         let m = model();
         let a = accel();
         let sys = system(4, 8);
@@ -2372,31 +2252,25 @@ mod tests {
         let base = SearchEngine::new(&m, &a, &sys)
             .with_efficiency(EfficiencyModel::Constant(0.5))
             .with_pruning(true);
-        let scalar = base
-            .clone()
-            .with_batching(false)
-            .with_parallelism(1)
-            .search(&training)
-            .unwrap();
+        let serial = base.clone().with_parallelism(1).search(&training).unwrap();
         for jobs in [1, 4] {
-            let batched = base
+            let run = base
                 .clone()
                 .with_parallelism(jobs)
                 .search(&training)
                 .unwrap();
-            assert_identical_candidates(&scalar, &batched);
+            assert_identical_candidates(&serial, &run);
         }
     }
 
     #[test]
-    fn batched_search_through_a_cache_pool_stays_bit_identical() {
+    fn search_through_a_cache_pool_stays_bit_identical() {
         let m = model();
         let a = accel();
         let sys = system(4, 8);
         let training = TrainingConfig::new(512, 10).unwrap();
-        let scalar = SearchEngine::new(&m, &a, &sys)
+        let serial = SearchEngine::new(&m, &a, &sys)
             .with_efficiency(EfficiencyModel::Constant(0.5))
-            .with_batching(false)
             .with_parallelism(1)
             .search(&training)
             .unwrap();
@@ -2405,12 +2279,12 @@ mod tests {
             .with_efficiency(EfficiencyModel::Constant(0.5))
             .with_cache_pool(pool.clone())
             .with_parallelism(4);
-        // Cold pool, then warm pool: both bit-identical to the scalar
-        // reference — batch fills caches with the same entries scalar would.
+        // Cold pool, then warm pool: both bit-identical to the serial run
+        // without a pool — warming a cache never changes what it serves.
         let cold = pooled.search(&training).unwrap();
-        assert_identical_candidates(&scalar, &cold);
+        assert_identical_candidates(&serial, &cold);
         let warm = pooled.search(&training).unwrap();
-        assert_identical_candidates(&scalar, &warm);
+        assert_identical_candidates(&serial, &warm);
     }
 
     #[test]
@@ -2432,12 +2306,12 @@ mod tests {
             stats.memory_rejected.total() > 0,
             "a 2-device cluster cannot fit every mapping of a 4096-hidden model"
         );
-        // The scalar path classifies rejections identically.
-        let (_, scalar_stats) = base
-            .with_batching(false)
+        // A serial run classifies rejections identically.
+        let (_, serial_stats) = base
+            .with_parallelism(1)
             .search_with_stats(&training)
             .unwrap();
-        assert_eq!(stats, scalar_stats);
+        assert_eq!(stats, serial_stats);
         // Without the filter nothing is memory-rejected.
         let (_, open) = SearchEngine::new(&m, &a, &sys)
             .with_efficiency(EfficiencyModel::Constant(0.5))

@@ -1,7 +1,7 @@
 //! Differential test of the search's branch-and-bound bound: the batched
 //! bound [`SearchEngine::lower_bounds`] prices one microbatch rung per
 //! mapping, and must equal — bitwise — the minimum over every variant the
-//! search would try of the scalar reference
+//! search would try of the one-candidate bound
 //! [`Estimator::compute_lower_bound`], with the same error text for a
 //! mapping that does not fit the system. The efficiency models include a
 //! table that peaks mid-ladder, where the cheapest rung is neither the

@@ -202,6 +202,15 @@ fn param_or<T: std::str::FromStr>(req: &Request, key: &str, default: T) -> Resul
     }
 }
 
+/// The `jobs` query parameter (0 = one worker per CPU), clamped to the
+/// host's available parallelism. Rankings are bit-identical at any worker
+/// count, so the clamp changes only speed; without it one request could
+/// ask for a worker thread per search chunk.
+fn param_jobs(req: &Request) -> Result<usize> {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    Ok(param_or(req, "jobs", 0usize)?.min(cpus))
+}
+
 /// Whether boolean query parameter `key` is set (`?prune`, `?prune=true`).
 fn param_switch(req: &Request, key: &str) -> bool {
     match req.query_param(key) {
@@ -387,7 +396,7 @@ fn search_infer(state: &ServiceState, req: &Request) -> Result<Response> {
             max_batch: param_or(req, "max-serve-batch", 64)?,
             ..ServingSweepOptions::default()
         })
-        .with_parallelism(param_or(req, "jobs", 0)?)
+        .with_parallelism(param_jobs(req)?)
         .with_pruning(param_switch(req, "prune"))
         .with_observer(Arc::clone(&observer));
     let (results, stats) = engine.search_with_stats(&request)?;
@@ -440,9 +449,8 @@ fn engine_for<'a>(
         .with_efficiency(s.efficiency.clone())
         .with_engine_options(s.options)
         .with_enumeration(EnumerationOptions::default())
-        .with_parallelism(param_or(req, "jobs", 0)?)
+        .with_parallelism(param_jobs(req)?)
         .with_pruning(param_switch(req, "prune"))
-        .with_batching(!param_switch(req, "no-batch"))
         .with_memory_filter(param_switch(req, "memory-filter"))
         .with_refine_sim(param_or(req, "refine-sim", 0)?)
         .with_cache_pool(Arc::clone(&state.pool))
@@ -573,7 +581,7 @@ fn sweep(state: &ServiceState, req: &Request) -> Result<Response> {
         .with_precision(s.precision)
         .with_efficiency(s.efficiency.clone())
         .with_engine_options(s.options)
-        .with_parallelism(param_or(req, "jobs", 0)?)
+        .with_parallelism(param_jobs(req)?)
         .with_cache_pool(Arc::clone(&state.pool))
         .with_observer(Arc::clone(&observer));
     let sweep = match req.query_param("backend") {
@@ -602,4 +610,31 @@ fn sweep(state: &ServiceState, req: &Request) -> Result<Response> {
 /// Pretty-print a serializable value (the CLI's `to_json`).
 fn to_json<T: serde::Serialize>(value: &T) -> Result<String> {
     serde_json::to_string_pretty(value).map_err(|e| Error::invalid("json", e.to_string()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn request(query: &[(&str, &str)]) -> Request {
+        Request {
+            method: "POST".into(),
+            path: "/v1/search".into(),
+            query: query.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
+            body: String::new(),
+        }
+    }
+
+    #[test]
+    fn jobs_parameter_is_clamped_to_the_available_parallelism() {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(param_jobs(&request(&[("jobs", "1000000")])).unwrap(), cpus);
+        let max = usize::MAX.to_string();
+        assert_eq!(param_jobs(&request(&[("jobs", &max)])).unwrap(), cpus);
+        // Absent and 0 keep "one per CPU"; small values pass through.
+        assert_eq!(param_jobs(&request(&[])).unwrap(), 0);
+        assert_eq!(param_jobs(&request(&[("jobs", "0")])).unwrap(), 0);
+        assert_eq!(param_jobs(&request(&[("jobs", "1")])).unwrap(), 1);
+        assert!(param_jobs(&request(&[("jobs", "-3")])).is_err());
+    }
 }
